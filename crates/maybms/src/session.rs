@@ -450,6 +450,17 @@ impl QueryBackend for AnyBackend {
         dispatch!(self, b => b.drop_scratch(name))
     }
 
+    fn execute_plan(
+        &mut self,
+        plan: &RaExpr,
+        out: &str,
+        config: &EngineConfig,
+    ) -> Option<Result<()>> {
+        dispatch!(self, b => b
+            .execute_plan(plan, out, config)
+            .map(|r| r.map_err(Error::from)))
+    }
+
     fn profile_rows(&self, relation: &str) -> Option<u64> {
         dispatch!(self, b => b.profile_rows(relation))
     }

@@ -1035,9 +1035,8 @@ impl QueryBackend for Database {
     }
 
     fn apply_rename(&mut self, input: &str, from: &str, to: &str, out: &str) -> Result<()> {
-        let rel = self.relation(input)?;
-        let schema = rel.schema().renamed_attr(from, to)?;
-        let result = Relation::with_rows(schema, rel.rows().to_vec())?;
+        let mut result = self.relation(input)?.clone();
+        *result.schema_mut() = result.schema().renamed_attr(from, to)?;
         self.store_as(result, out);
         Ok(())
     }

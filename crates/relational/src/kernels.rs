@@ -83,17 +83,19 @@ pub(crate) fn execute_columnar(
     let pool = WorkerPool::new(config.threads);
     let relation = match eval_expr(db, plan, None, config, &pool)? {
         Eval::Batch(batch) => batch.into_relation()?,
-        // A σ-chain over a base relation: clone exactly the surviving rows.
+        // A σ-chain over a base relation: clone exactly the surviving rows
+        // (an unfiltered base relation shares its rows).
         Eval::View(view) => {
             let rel = db.relation(&view.name)?;
-            let rows = match &view.sel {
-                None => rel.rows().to_vec(),
-                Some(sel) => sel
-                    .iter()
-                    .map(|&i| rel.rows()[i as usize].clone())
-                    .collect(),
-            };
-            crate::relation::Relation::with_rows(rel.schema().clone(), rows)?
+            match &view.sel {
+                None => rel.clone(),
+                Some(sel) => crate::relation::Relation::with_rows(
+                    rel.schema().clone(),
+                    sel.iter()
+                        .map(|&i| rel.rows()[i as usize].clone())
+                        .collect(),
+                )?,
+            }
         }
     };
     db.store_as(relation, out);

@@ -1,10 +1,14 @@
 //! Relations: a schema plus a collection of tuples.
 //!
 //! The paper works with set semantics ("a relation over schema R[A1..Ak] is a
-//! set of tuples", §2).  For efficiency the in-memory representation stores a
-//! `Vec<Tuple>`; callers choose between `insert` (set semantics, deduplicating)
-//! and `push` (bag semantics, used while building large relations whose
-//! construction already guarantees uniqueness, e.g. the census generator).
+//! set of tuples", §2).  For efficiency the in-memory representation keeps
+//! its rows in one shared, copy-on-write vector: cloning a relation (and so a
+//! whole `Database`) shares the rows and costs O(1), and the first mutation
+//! through either copy (`push`, `insert`, `retain`, `dedup`, `rows_mut`)
+//! copies them, so clones keep value semantics.  Callers choose between
+//! `insert` (set semantics, deduplicating) and `push` (bag semantics, used
+//! while building large relations whose construction already guarantees
+//! uniqueness, e.g. the census generator).
 
 use crate::error::{RelationalError, Result};
 use crate::schema::Schema;
@@ -12,12 +16,15 @@ use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// A relation instance: schema + tuples.
+///
+/// Clones share the rows until one of them writes (see the module docs).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Relation {
     schema: Schema,
-    rows: Vec<Tuple>,
+    rows: Arc<Vec<Tuple>>,
 }
 
 impl Relation {
@@ -25,7 +32,7 @@ impl Relation {
     pub fn new(schema: Schema) -> Self {
         Relation {
             schema,
-            rows: Vec::new(),
+            rows: Arc::default(),
         }
     }
 
@@ -42,7 +49,10 @@ impl Relation {
                 actual: t.arity(),
             });
         }
-        Ok(Relation { schema, rows })
+        Ok(Relation {
+            schema,
+            rows: Arc::new(rows),
+        })
     }
 
     /// The schema.
@@ -70,14 +80,16 @@ impl Relation {
         &self.rows
     }
 
-    /// Mutable access to the stored rows.
+    /// Mutable access to the stored rows; copies them first if they are
+    /// shared with a clone.
     pub fn rows_mut(&mut self) -> &mut Vec<Tuple> {
-        &mut self.rows
+        Arc::make_mut(&mut self.rows)
     }
 
-    /// Consume the relation, returning its rows.
+    /// Consume the relation, returning its rows; copies them only if they
+    /// are shared with a clone.
     pub fn into_rows(self) -> Vec<Tuple> {
-        self.rows
+        Arc::try_unwrap(self.rows).unwrap_or_else(|shared| (*shared).clone())
     }
 
     /// Append a row without duplicate elimination (bag semantics).
@@ -89,7 +101,7 @@ impl Relation {
                 actual: tuple.arity(),
             });
         }
-        self.rows.push(tuple);
+        self.rows_mut().push(tuple);
         Ok(())
     }
 
@@ -121,8 +133,8 @@ impl Relation {
 
     /// Remove duplicate rows, turning a bag into a set (order not preserved).
     pub fn dedup(&mut self) {
-        let set: BTreeSet<Tuple> = std::mem::take(&mut self.rows).into_iter().collect();
-        self.rows = set.into_iter().collect();
+        let set: BTreeSet<Tuple> = std::mem::take(self.rows_mut()).into_iter().collect();
+        self.rows = Arc::new(set.into_iter().collect());
     }
 
     /// A canonical, order-insensitive view of the rows (used to compare query
@@ -150,14 +162,14 @@ impl Relation {
 
     /// Keep only rows satisfying the predicate closure.
     pub fn retain<F: FnMut(&Tuple) -> bool>(&mut self, f: F) {
-        self.rows.retain(f);
+        self.rows_mut().retain(f);
     }
 }
 
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{}", self.schema)?;
-        for row in &self.rows {
+        for row in self.rows.iter() {
             writeln!(f, "  {row}")?;
         }
         Ok(())
@@ -227,6 +239,47 @@ mod tests {
         r.retain(|t| t[0] == Value::int(2));
         assert_eq!(r.len(), 1);
         assert_eq!(r.into_rows().len(), 1);
+    }
+
+    #[test]
+    fn clones_share_rows_until_written() {
+        let a = rel();
+        let b = a.clone();
+        assert_eq!(a.rows().as_ptr(), b.rows().as_ptr());
+        assert_eq!(a.clone().into_rows(), a.rows());
+    }
+
+    #[test]
+    fn copy_on_write_keeps_value_semantics() {
+        let mutations: [fn(&mut Relation); 5] = [
+            |r| r.push_values([3i64, 30]).unwrap(),
+            |r| assert!(r.insert(Tuple::from_iter([3i64, 30])).unwrap()),
+            |r| r.retain(|t| t[0] == Value::int(1)),
+            |r| r.dedup(),
+            |r| r.rows_mut()[0] = Tuple::from_iter([9i64, 90]),
+        ];
+        // A bag with a duplicate, so that every mutation changes the rows.
+        let base = || {
+            let mut r = rel();
+            r.push_values([1i64, 10]).unwrap();
+            r
+        };
+        for mutate in mutations {
+            // Writing through the clone leaves the original unchanged ...
+            let original = base();
+            let mut clone = original.clone();
+            mutate(&mut clone);
+            assert_eq!(original, base());
+            assert_ne!(clone, base());
+            assert_ne!(original.rows().as_ptr(), clone.rows().as_ptr());
+
+            // ... and writing through the original leaves the clone unchanged.
+            let mut original = base();
+            let clone = original.clone();
+            mutate(&mut original);
+            assert_eq!(clone, base());
+            assert_ne!(original, base());
+        }
     }
 
     #[test]

@@ -106,6 +106,9 @@ impl Client {
     /// Connect and perform the hello handshake.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ServiceError> {
         let stream = TcpStream::connect(addr).map_err(ServiceError::transport)?;
+        // Each frame goes out in one write; holding it back for an ACK
+        // (Nagle) would only add the peer's delayed-ACK wait to every call.
+        stream.set_nodelay(true).map_err(ServiceError::transport)?;
         let mut client = Client {
             stream: CountingStream::new(stream),
             backend: String::new(),
@@ -281,5 +284,30 @@ impl Client {
             Response::Bye => Ok(()),
             other => Err(ServiceError::protocol(&other)),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{spawn, ConcurrentStore};
+    use maybms::AnyBackend;
+    use ws_core::wsd::example_census_wsd;
+    use ws_storage::{MemVfs, SyncPolicy};
+
+    #[test]
+    fn connect_disables_nagle() {
+        let store: ConcurrentStore<AnyBackend> = ConcurrentStore::create(
+            Box::new(MemVfs::new()),
+            AnyBackend::Wsd(example_census_wsd()),
+            SyncPolicy::EveryRecord,
+        )
+        .unwrap();
+        let server = spawn("127.0.0.1:0", store.clone()).unwrap();
+        let client = Client::connect(server.addr()).unwrap();
+        assert!(client.stream.get_ref().nodelay().unwrap());
+        client.close().unwrap();
+        server.shutdown().unwrap();
+        store.close().unwrap();
     }
 }

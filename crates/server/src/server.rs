@@ -48,6 +48,9 @@ pub fn serve(
             Ok(s) => s,
             Err(_) => continue,
         };
+        // Reap the handlers of connections that already hung up, so the
+        // list holds live connections rather than every one ever accepted.
+        workers.retain(|w| !w.is_finished());
         let store = store.clone();
         let stop = Arc::clone(&stop);
         workers.push(std::thread::spawn(move || {
@@ -189,6 +192,8 @@ fn handle_connection(
     stop: Arc<AtomicBool>,
     addr: SocketAddr,
 ) -> io::Result<()> {
+    // Responses are whole frames written at once; see `Client::connect`.
+    stream.set_nodelay(true)?;
     let mut stream = CountingStream::new(stream);
     let mut conn = Conn {
         store,

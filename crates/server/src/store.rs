@@ -22,6 +22,13 @@
 //!   conditioning step that empties the world set) is an *outcome* delivered
 //!   to that one caller; the rest of the batch commits normally.
 //!
+//! Publishing an image clones the committer's backend, and a connection
+//! re-pinning a newer image clones it into its session; both cost
+//! O(#relations), not O(#rows), because relation rows are shared
+//! copy-on-write between clones.  The committer's first write to a relation
+//! after a publish copies that one relation; every relation the batch does
+//! not touch stays shared with the images readers still pin.
+//!
 //! The commit point is the WAL append: a crash mid-batch tears the single
 //! CRC-framed batch record, recovery drops it whole, and the store reopens
 //! at the previous batch boundary — there is no state in which a reader (or
@@ -666,6 +673,36 @@ mod tests {
         assert!(matches!(out, Err(DurableError::Backend(_))));
         // The store still accepts and commits good updates afterwards.
         store.update(delete(4)).unwrap();
+        store.close().unwrap();
+    }
+
+    #[test]
+    fn a_commit_copies_only_the_relations_it_touches() {
+        use ws_relational::{Database, Relation, Schema, Tuple};
+        let mut db = Database::new();
+        for (name, attr) in [("R", "A"), ("S", "B")] {
+            let mut rel = Relation::new(Schema::new(name, &[attr]).unwrap());
+            rel.push_values([1i64]).unwrap();
+            rel.push_values([2i64]).unwrap();
+            db.insert_relation(rel);
+        }
+        let store: ConcurrentStore<Database> =
+            ConcurrentStore::create(Box::new(MemVfs::new()), db.clone(), SyncPolicy::EveryRecord)
+                .unwrap();
+        let before = store.snapshot();
+        store
+            .update(UpdateExpr::insert("R", Tuple::from_iter([3i64])))
+            .unwrap();
+        let after = store.snapshot();
+        let rows = |snap: &StoreSnapshot<Database>, name: &str| {
+            snap.backend.relation(name).unwrap().rows().as_ptr()
+        };
+        // The untouched relation is shared between the two images ...
+        assert_eq!(rows(&before, "S"), rows(&after, "S"));
+        // ... the written one was copied, leaving the pinned image intact.
+        assert_ne!(rows(&before, "R"), rows(&after, "R"));
+        assert_eq!(before.backend, db);
+        assert_eq!(after.backend.relation("R").unwrap().len(), 3);
         store.close().unwrap();
     }
 

@@ -43,6 +43,14 @@ pub const WIRE_VERSION: u32 = 2;
 /// from sizing an allocation.
 pub const MAX_FRAME: u32 = 64 << 20;
 
+/// Bytes in a frame header: length, checksum and request trace id.
+const FRAME_HEADER: usize = 16;
+
+/// Payload bytes reserved before any arrive; a larger frame grows its
+/// buffer as its bytes are read, so a length prefix that the stream does
+/// not back with bytes cannot size an allocation.
+const FRAME_RESERVE: u32 = 64 << 10;
+
 /// Everything a client can ask.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -418,12 +426,19 @@ impl Response {
 // ---------------------------------------------------------------------------
 
 /// Write one frame (length, checksum, request trace id, payload) and flush.
+///
+/// The frame is assembled first and handed to the stream in one
+/// `write_all`: separate small writes for header and payload form the
+/// write-write-read pattern on which Nagle's algorithm and the peer's
+/// delayed ACK stall each round trip.
 pub fn write_frame(stream: &mut impl Write, request: u64, payload: &[u8]) -> std::io::Result<()> {
     debug_assert!(payload.len() as u64 <= MAX_FRAME as u64);
-    stream.write_all(&(payload.len() as u32).to_le_bytes())?;
-    stream.write_all(&crc32(payload).to_le_bytes())?;
-    stream.write_all(&request.to_le_bytes())?;
-    stream.write_all(payload)?;
+    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&crc32(payload).to_le_bytes());
+    frame.extend_from_slice(&request.to_le_bytes());
+    frame.extend_from_slice(payload);
+    stream.write_all(&frame)?;
     stream.flush()
 }
 
@@ -434,7 +449,7 @@ pub fn write_frame(stream: &mut impl Write, request: u64, payload: &[u8]) -> std
 /// byte (the peer hung up between messages); any torn or corrupt frame is an
 /// error.
 pub fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<(u64, Vec<u8>)>> {
-    let mut header = [0u8; 16];
+    let mut header = [0u8; FRAME_HEADER];
     let mut filled = 0;
     while filled < header.len() {
         let n = stream.read(&mut header[filled..])?;
@@ -461,8 +476,14 @@ pub fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<(u64, Vec<u8
             format!("implausible frame length {len}"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity(len.min(FRAME_RESERVE) as usize);
+    (&mut *stream).take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len as usize {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "the stream ended inside a frame payload",
+        ));
+    }
     if crc32(&payload) != crc {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
@@ -636,5 +657,50 @@ mod tests {
         assert!(read_frame(&mut [][..].as_ref()).unwrap().is_none());
         // A torn header is an error.
         assert!(read_frame(&mut buf[..4].as_ref()).is_err());
+        // So is a torn payload.
+        let torn = read_frame(&mut buf[..buf.len() - 1].as_ref()).unwrap_err();
+        assert_eq!(torn.kind(), std::io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn oversized_length_prefix_then_eof_is_an_error() {
+        let mut header = Vec::new();
+        header.extend_from_slice(&MAX_FRAME.to_le_bytes());
+        header.extend_from_slice(&0u32.to_le_bytes());
+        header.extend_from_slice(&7u64.to_le_bytes());
+        let err = read_frame(&mut header.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    }
+
+    /// A sink that counts the `write` calls it receives.
+    #[derive(Default)]
+    struct CountingWrites {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWrites {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        let payload = Request::Prepare {
+            plan: sample_plan(),
+        }
+        .encode();
+        let mut sink = CountingWrites::default();
+        write_frame(&mut sink, 9, &payload).unwrap();
+        assert_eq!(sink.writes, 1);
+        let (request, got) = read_frame(&mut sink.bytes.as_slice()).unwrap().unwrap();
+        assert_eq!((request, got), (9, payload));
     }
 }

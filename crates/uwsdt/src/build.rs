@@ -76,8 +76,7 @@ pub fn from_wsdt(wsdt: &Wsdt) -> Result<Uwsdt> {
     // positions, so remap the WSDT's tuple slots to consecutive positions.
     let mut slot_to_row: BTreeMap<(String, usize), usize> = BTreeMap::new();
     for (name, template) in &wsdt.templates {
-        let renumbered = Relation::with_rows(template.schema().clone(), template.rows().to_vec())?;
-        uwsdt.add_template(renumbered)?;
+        uwsdt.add_template(template.clone())?;
         for (row, slot) in wsdt.tuple_slots[name]
             .iter()
             .enumerate()

@@ -23,10 +23,12 @@ use std::sync::Arc;
 use common::{all_backends, random_wsd, Generator};
 use maybms::obs::{Histogram, HistogramSummary, Observer};
 use maybms::prelude::*;
-use maybms::{AnyBackend, Session};
+use maybms::storage::SyncPolicy;
+use maybms::{AnyBackend, Session, SessionBackend};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use ws_server::ConcurrentStore;
 
 /// Answers and confidence bit patterns of one plan, on one session.
 fn probe(
@@ -97,6 +99,50 @@ fn observed_sessions_populate_the_registry() {
     assert!(
         !observer.slow_queries().is_empty(),
         "threshold 0 must log every query"
+    );
+}
+
+/// `exec.morsels` after executing census Q3 on an observed session; only
+/// the columnar executor records that counter.
+fn q3_morsels<B>(mut session: Session<B>) -> u64
+where
+    B: SessionBackend,
+    B::Error: Into<maybms::Error>,
+{
+    let observer = Arc::new(Observer::new());
+    session.set_observer(Arc::clone(&observer));
+    let prepared = session.prepare(maybms::census::q3()).expect("Q3 prepares");
+    assert!(session.execute(&prepared).expect("Q3 runs").count() > 0);
+    observer.metrics().counter("exec.morsels").get()
+}
+
+// The columnar fast path of a single-world database is reached through
+// every wrapper a caller goes through, not only by a bare `Database`.
+#[test]
+fn columnar_path_reaches_through_the_wrappers() {
+    let db = CensusScenario::new(2_000, 0.0, 11).one_world();
+    assert!(
+        q3_morsels(Session::over(db.clone())) > 0,
+        "Session::over(db) skipped the columnar executor"
+    );
+
+    let store: ConcurrentStore<AnyBackend> = ConcurrentStore::create(
+        Box::new(MemVfs::new()),
+        AnyBackend::from(db.clone()),
+        SyncPolicy::EveryRecord,
+    )
+    .expect("store opens");
+    let snapshot = store.snapshot();
+    assert!(
+        q3_morsels(Session::new(snapshot.backend.clone())) > 0,
+        "a store snapshot session skipped the columnar executor"
+    );
+    store.close().expect("store closes");
+
+    let durable = Session::create_durable_on(Box::new(MemVfs::new()), db).expect("store opens");
+    assert!(
+        q3_morsels(durable) > 0,
+        "a durable session skipped the columnar executor"
     );
 }
 
