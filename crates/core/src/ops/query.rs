@@ -1,11 +1,11 @@
 //! The query processor `Q̂` on WSDs, as a backend of the unified engine.
 //!
-//! Queries are no longer walked by a WSD-private translator: the shared
-//! `optimize → execute` pipeline of [`ws_relational::engine`] plans the
-//! [`RaExpr`] (selection pushdown, projection collapsing, θ-join
-//! recognition) against this catalog and drives the per-operator algorithms
-//! of Figure 9 through the [`QueryBackend`] implementation below.  Given a
-//! query `Q`, the result of [`evaluate_query`] is a new relation inside the
+//! The shared `optimize → execute` pipeline of [`ws_relational::engine`]
+//! plans the [`RaExpr`] (selection pushdown, projection collapsing, θ-join
+//! recognition) against this catalog, and [`engine::interpret`] drives the
+//! per-operator algorithms of Figure 9 through the [`OperatorBackend`]
+//! implementation below.  Given a query `Q`, the result of
+//! [`engine::evaluate_query`] is a new relation inside the
 //! same WSD such that dropping all other relations yields a WSD representing
 //! `{ Q(A) | A ∈ rep(W) }` (Theorem 1).  Intermediate results get fresh
 //! relation names and remain represented, which is exactly what keeps
@@ -19,8 +19,8 @@
 use super::{copy, difference, product, project, rename, select_attr, select_const, union};
 use crate::error::{Result, WsError};
 use crate::wsd::Wsd;
-use ws_relational::engine::{self, ExecContext, QueryBackend, SchemaCatalog};
-use ws_relational::{Predicate, RaExpr, RelationalError, Schema};
+use ws_relational::engine::{self, EngineConfig, ExecContext, OperatorBackend, QueryBackend};
+use ws_relational::{Predicate, RaExpr, RelationalError, Schema, SchemaCatalog};
 
 impl SchemaCatalog for Wsd {
     fn schema_of(&self, relation: &str) -> ws_relational::Result<Schema> {
@@ -37,6 +37,16 @@ impl SchemaCatalog for Wsd {
 impl QueryBackend for Wsd {
     type Error = WsError;
 
+    fn execute_plan(&mut self, plan: &RaExpr, out: &str, config: &EngineConfig) -> Result<()> {
+        engine::interpret(self, plan, out, config)
+    }
+
+    fn drop_scratch(&mut self, name: &str) {
+        let _ = self.drop_relation(name);
+    }
+}
+
+impl OperatorBackend for Wsd {
     fn materialize_base(&mut self, name: &str, out: &str) -> Result<()> {
         copy(self, name, out)
     }
@@ -83,10 +93,6 @@ impl QueryBackend for Wsd {
     fn apply_rename(&mut self, input: &str, from: &str, to: &str, out: &str) -> Result<()> {
         rename(self, input, out, from, to)
     }
-
-    fn drop_scratch(&mut self, name: &str) {
-        let _ = self.drop_relation(name);
-    }
 }
 
 /// Generate a fresh intermediate relation name that does not clash with any
@@ -96,18 +102,6 @@ impl QueryBackend for Wsd {
 /// allocate scratch names outside a plan execution.
 pub fn fresh_name(wsd: &Wsd, counter: &mut usize, hint: &str) -> String {
     engine::fresh_scratch_name(|n| wsd.contains_relation(n), counter, hint)
-}
-
-/// Evaluate a relational-algebra query over the WSD through the unified
-/// `optimize → execute` pipeline, materializing the result as relation
-/// `out`.  Returns the name of the result relation (`out`).
-#[deprecated(
-    since = "0.1.0",
-    note = "open a `maybms::Session` on the Wsd (prepare/execute/stream), or call \
-            `ws_relational::engine::evaluate_query` directly"
-)]
-pub fn evaluate_query(wsd: &mut Wsd, query: &RaExpr, out: &str) -> Result<String> {
-    engine::evaluate_query(wsd, query, out)
 }
 
 /// Evaluate a query into a freshly named `__{hint}{n}` result relation and

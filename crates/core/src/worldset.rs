@@ -210,6 +210,23 @@ fn apply_per_world(worlds: &mut WorldSet, expr: &ws_relational::RaExpr, out: &st
 impl ws_relational::QueryBackend for WorldSet {
     type Error = WsError;
 
+    fn execute_plan(
+        &mut self,
+        plan: &ws_relational::RaExpr,
+        out: &str,
+        config: &ws_relational::EngineConfig,
+    ) -> Result<()> {
+        ws_relational::interpret(self, plan, out, config)
+    }
+
+    fn drop_scratch(&mut self, name: &str) {
+        for (db, _) in &mut self.worlds {
+            db.remove_relation(name);
+        }
+    }
+}
+
+impl ws_relational::OperatorBackend for WorldSet {
     fn materialize_base(&mut self, name: &str, out: &str) -> Result<()> {
         apply_per_world(self, &ws_relational::RaExpr::rel(name), out)
     }
@@ -278,12 +295,6 @@ impl ws_relational::QueryBackend for WorldSet {
             &ws_relational::RaExpr::rel(input).rename(from, to),
             out,
         )
-    }
-
-    fn drop_scratch(&mut self, name: &str) {
-        for (db, _) in &mut self.worlds {
-            db.remove_relation(name);
-        }
     }
 }
 
@@ -550,6 +561,58 @@ mod tests {
         let mut db = Database::new();
         db.insert_relation(rel);
         db
+    }
+
+    /// One world holding `R(A, B)` and `S(C, D)`, as the operator
+    /// interpreter's backend.
+    fn two_relation_worlds() -> WorldSet {
+        let mut db = small_world(&[(1, 10), (2, 20)]);
+        let mut s = Relation::new(Schema::new("S", &["C", "D"]).unwrap());
+        s.push_values([10i64, 7]).unwrap();
+        db.insert_relation(s);
+        WorldSet::from_worlds(vec![db])
+    }
+
+    fn relation_names(ws: &WorldSet) -> Vec<&str> {
+        let mut names = ws.worlds[0].0.relation_names();
+        names.sort_unstable();
+        names
+    }
+
+    #[test]
+    fn interpreter_drops_scratch_after_success_when_asked() {
+        use ws_relational::{CmpOp, EngineConfig, Predicate, RaExpr};
+        let mut ws = two_relation_worlds();
+        let query = RaExpr::rel("R")
+            .product(RaExpr::rel("S"))
+            .select(Predicate::and(vec![
+                Predicate::cmp_attr("C", CmpOp::Eq, "B"),
+                Predicate::cmp_const("A", CmpOp::Gt, 0i64),
+            ]));
+        ws_relational::evaluate_query_with(
+            &mut ws,
+            &query,
+            "OUT",
+            EngineConfig::with_temp_cleanup(),
+        )
+        .unwrap();
+        assert_eq!(relation_names(&ws), vec!["OUT", "R", "S"]);
+    }
+
+    #[test]
+    fn interpreter_drops_scratch_on_error() {
+        use ws_relational::{EngineConfig, Predicate, RaExpr};
+        let mut ws = two_relation_worlds();
+        // The union is incompatible (arity 1 vs 2) and fails *after* both
+        // operands have been materialized as scratch relations.
+        let query = RaExpr::rel("R")
+            .project(vec!["A"])
+            .union(RaExpr::rel("S").select(Predicate::eq_const("C", 10i64)));
+        assert!(
+            ws_relational::evaluate_query_with(&mut ws, &query, "OUT", EngineConfig::naive())
+                .is_err()
+        );
+        assert_eq!(relation_names(&ws), vec!["R", "S"], "no leaked scratch");
     }
 
     #[test]

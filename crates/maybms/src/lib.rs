@@ -50,9 +50,9 @@
 //!
 //! * [`relational`] — the in-memory relational substrate (stand-in for
 //!   PostgreSQL) **and the unified query engine**: the rule-based optimizer,
-//!   the shared executor behind every representation, plan
-//!   normalization/fingerprinting ([`mod@relational::fingerprint`]) and the
-//!   volcano-style streaming [`relational::cursor`],
+//!   the columnar executor of the single-world database, the shared operator
+//!   interpreter behind every possible-worlds representation, and plan
+//!   normalization/fingerprinting ([`mod@relational::fingerprint`]),
 //! * [`core`] — world-set decompositions: representation, relational algebra,
 //!   normalization, confidence computation and the chase,
 //! * [`uwsdt`] — the uniform, RDBMS-friendly representation used at scale,
@@ -71,15 +71,13 @@
 //!
 //! ## Under the hood
 //!
-//! Sessions drive the same `optimize → execute` pipeline (§5 of the paper)
-//! the old per-crate `evaluate_query` free functions used — those functions
-//! are still exported as deprecated shims for migration.  The shared
-//! executor fans scans, selections, projections and equi-join build/probe
-//! phases out over a fixed-size [`prelude::WorkerPool`] controlled by
-//! [`prelude::EngineConfig::threads`]; `threads = 1` reproduces the serial
-//! engine exactly, and parallel output is canonicalized to the serial order
-//! for any thread count, so prepared re-execution is bit-identical at any
-//! parallelism.  The NP-hard §6 confidence computation additionally has
+//! Sessions drive one `optimize → execute` pipeline (§5 of the paper): the
+//! optimizer rewrites the plan against the backend's catalog, and
+//! [`prelude::QueryBackend::execute_plan`] runs it.  The single-world
+//! database's columnar executor fans row morsels out over a fixed-size
+//! [`prelude::WorkerPool`] controlled by [`prelude::EngineConfig::threads`];
+//! parallel output is canonicalized to the serial order for any thread
+//! count, so prepared re-execution is bit-identical at any parallelism.  The NP-hard §6 confidence computation additionally has
 //! (ε, δ)-approximate Monte-Carlo evaluators driven by
 //! [`prelude::ApproxConfig`].
 //!
@@ -148,8 +146,8 @@ pub mod prelude {
         ProfileNode, RingSink, TraceEvent, TraceSink,
     };
     pub use ws_relational::{
-        engine, evaluate_query, evaluate_query_with, world_satisfies, Clause, CmpOp, Cursor,
-        Database, DtreeCompiler, EngineConfig, ExecContext, LineageDb, LineageRelation, Predicate,
+        engine, evaluate_query, evaluate_query_with, world_satisfies, Clause, CmpOp, Database,
+        DtreeCompiler, EngineConfig, ExecContext, LineageDb, LineageRelation, Predicate,
         QueryBackend, RaExpr, Relation, Schema, SchemaCatalog, Tuple, Value, VarTable, WorkerPool,
         WriteBackend,
     };

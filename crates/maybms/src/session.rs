@@ -49,7 +49,7 @@ use ws_core::confidence::approx::ApproxConfig;
 use ws_core::ops::update::{apply_update, UpdateExpr};
 use ws_core::{WorldSet, Wsd};
 use ws_obs::{Observer, ProfileNode};
-use ws_relational::engine::{self, EngineConfig, ExecContext, QueryBackend, SchemaCatalog};
+use ws_relational::engine::{self, EngineConfig, QueryBackend, SchemaCatalog};
 use ws_relational::lineage::{self, DtreeCompiler, LineageDb};
 use ws_relational::{
     fingerprint, optimizer, Database, Dependency, Predicate, RaExpr, Schema, Tuple, Value,
@@ -385,84 +385,12 @@ impl SchemaCatalog for AnyBackend {
 impl QueryBackend for AnyBackend {
     type Error = Error;
 
-    fn materialize_base(&mut self, name: &str, out: &str) -> Result<()> {
-        dispatch!(self, b => b.materialize_base(name, out).map_err(Error::from))
-    }
-
-    fn apply_select(
-        &mut self,
-        input: &str,
-        pred: &Predicate,
-        out: &str,
-        ctx: &mut ExecContext,
-    ) -> Result<()> {
-        dispatch!(self, b => b.apply_select(input, pred, out, ctx).map_err(Error::from))
-    }
-
-    fn apply_project(
-        &mut self,
-        input: &str,
-        attrs: &[String],
-        out: &str,
-        ctx: &mut ExecContext,
-    ) -> Result<()> {
-        dispatch!(self, b => b.apply_project(input, attrs, out, ctx).map_err(Error::from))
-    }
-
-    fn apply_product(
-        &mut self,
-        left: &str,
-        right: &str,
-        out: &str,
-        ctx: &mut ExecContext,
-    ) -> Result<()> {
-        dispatch!(self, b => b.apply_product(left, right, out, ctx).map_err(Error::from))
-    }
-
-    fn apply_equi_join(
-        &mut self,
-        left: &str,
-        right: &str,
-        left_attr: &str,
-        right_attr: &str,
-        out: &str,
-        ctx: &mut ExecContext,
-    ) -> Result<()> {
-        dispatch!(self, b => {
-            b.apply_equi_join(left, right, left_attr, right_attr, out, ctx)
-                .map_err(Error::from)
-        })
-    }
-
-    fn apply_union(&mut self, left: &str, right: &str, out: &str) -> Result<()> {
-        dispatch!(self, b => b.apply_union(left, right, out).map_err(Error::from))
-    }
-
-    fn apply_difference(&mut self, left: &str, right: &str, out: &str) -> Result<()> {
-        dispatch!(self, b => b.apply_difference(left, right, out).map_err(Error::from))
-    }
-
-    fn apply_rename(&mut self, input: &str, from: &str, to: &str, out: &str) -> Result<()> {
-        dispatch!(self, b => b.apply_rename(input, from, to, out).map_err(Error::from))
+    fn execute_plan(&mut self, plan: &RaExpr, out: &str, config: &EngineConfig) -> Result<()> {
+        dispatch!(self, b => b.execute_plan(plan, out, config).map_err(Error::from))
     }
 
     fn drop_scratch(&mut self, name: &str) {
         dispatch!(self, b => b.drop_scratch(name))
-    }
-
-    fn execute_plan(
-        &mut self,
-        plan: &RaExpr,
-        out: &str,
-        config: &EngineConfig,
-    ) -> Option<Result<()>> {
-        dispatch!(self, b => b
-            .execute_plan(plan, out, config)
-            .map(|r| r.map_err(Error::from)))
-    }
-
-    fn profile_rows(&self, relation: &str) -> Option<u64> {
-        dispatch!(self, b => b.profile_rows(relation))
     }
 }
 
@@ -786,9 +714,9 @@ struct CachedPlan {
 // ---------------------------------------------------------------------------
 
 /// Default number of rows a [`Rows`] cursor pulls per batch: the executor's
-/// native batch granularity ([`ws_relational::cursor::NATIVE_BATCH_ROWS`],
-/// one columnar morsel), so a refill moves exactly one kernel-sized unit.
-pub const DEFAULT_BATCH_SIZE: usize = ws_relational::cursor::NATIVE_BATCH_ROWS;
+/// native batch granularity ([`ws_relational::par::MORSEL_ROWS`], one
+/// columnar morsel), so a refill moves exactly one kernel-sized unit.
+pub const DEFAULT_BATCH_SIZE: usize = ws_relational::par::MORSEL_ROWS;
 
 /// A stateful connection to one possible-worlds backend: catalog, engine
 /// configuration, prepared-plan cache and usage stats in one place.

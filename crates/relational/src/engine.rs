@@ -11,25 +11,31 @@
 //! one pipeline:
 //!
 //! ```text
-//!           RaExpr ──► optimizer::optimize (catalog-generic) ──► execute
-//!                                                                  │
-//!                 QueryBackend: physical σ π × ⋈ ∪ − δ  ◄──────────┘
+//!   RaExpr ──► optimizer::optimize (catalog-generic) ──► QueryBackend::execute_plan
+//!                                                          │
+//!        Database: columnar kernels ◄──────────────────────┤
+//!        Wsd, Uwsdt, UDatabase, WorldSet: interpret ◄──────┘
+//!            └─► OperatorBackend: physical σ π × ⋈ ∪ − δ
 //! ```
 //!
 //! * [`SchemaCatalog`] is the structural interface the rule-based optimizer
 //!   needs: schemas of base relations, nothing else.  Every backend store
 //!   (`Database`, `Wsd`, `Uwsdt`, `UDatabase`, `WorldSet`) implements it.
-//! * [`QueryBackend`] adds the physical operators.  Each method materializes
-//!   one operator's result as a *named* relation inside the backend's own
-//!   catalog, which is what keeps correlated sub-queries correlated in the
-//!   world-set representations.
-//! * [`execute`] is the single shared executor: it walks the (optimized)
-//!   plan, allocates scratch names through [`TempNames`] (one generator for
-//!   the whole stack instead of per-crate copies), recognises equi-joins on
-//!   top of products, and guarantees that scratch relations are dropped when
-//!   evaluation fails part-way.
-//! * [`evaluate_query`] / [`evaluate_query_with`] are the entry points every
-//!   backend's `evaluate_query` now delegates to.
+//! * [`QueryBackend`] is the one execution entry point:
+//!   [`QueryBackend::execute_plan`] evaluates a whole plan into a named
+//!   result relation.  The single-world `Database` runs the columnar
+//!   kernels ([`crate::kernels`]).
+//! * [`OperatorBackend`] is the physical operator set of a possible-worlds
+//!   representation.  Each method materializes one operator's result as a
+//!   *named* relation inside the backend's own catalog, which is what keeps
+//!   correlated sub-queries correlated in the world-set representations.
+//! * [`interpret`] drives those operators: it walks the plan, allocates
+//!   scratch names through [`TempNames`] (one generator for the whole stack
+//!   instead of per-crate copies), recognises equi-joins on top of products,
+//!   and guarantees that scratch relations are dropped when evaluation fails
+//!   part-way.
+//! * [`evaluate_query`] / [`evaluate_query_with`] optimize and then call
+//!   `execute_plan`.
 //!
 //! The optimizer runs against the backend's catalog only — it never looks at
 //! rows — so a plan optimized once is valid for every backend holding the
@@ -39,13 +45,11 @@ use crate::algebra::RaExpr;
 use crate::database::Database;
 use crate::error::{RelationalError, Result};
 use crate::optimizer;
-use crate::par::WorkerPool;
 use crate::predicate::{CmpOp, Predicate};
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::collections::HashMap;
 
 /// The structural half of a backend: enough catalog information for the
 /// optimizer to reason about a plan without evaluating it.
@@ -57,41 +61,47 @@ pub trait SchemaCatalog {
     fn contains_relation(&self, relation: &str) -> bool;
 }
 
-/// A physical query backend: a store that can materialize each
-/// relational-algebra operator as a new named relation in its catalog.
+/// A query backend: a store that evaluates a whole (already planned)
+/// relational-algebra expression and materializes the answer as a named
+/// relation in its own catalog.
 ///
-/// The shared [`execute`] drives these operators; backends only decide *how*
-/// each operator touches their representation (per-world copies, template
-/// manipulation, descriptor conjunction, …), never *in which order* the plan
-/// is evaluated.
+/// [`QueryBackend::execute_plan`] is the one way every caller — the
+/// `optimize → execute` entry points below, `maybms::Session`, the storage
+/// and service wrappers — runs a plan, so a wrapper forwards exactly this
+/// method and cannot silently fall back to a slower executor.  The
+/// single-world [`Database`] answers it with the columnar kernels
+/// ([`crate::kernels`]); the possible-worlds representations answer it with
+/// one call to [`interpret`] over their [`OperatorBackend`] operators.
 pub trait QueryBackend: SchemaCatalog {
     /// The backend's error type.
     type Error: From<RelationalError>;
 
-    /// Whole-plan fast path: backends with their own vectorized executor can
-    /// evaluate `plan` in one go (materializing the result as `out`) and
-    /// return `Some(result)`.  Returning `None` (the default) falls back to
-    /// the shared operator-by-operator executor below.  Only consulted when
-    /// [`EngineConfig::columnar`] is set; implementations must honor
-    /// `config.recognize_joins` and produce bit-identical rows to the
-    /// operator path.
+    /// Evaluate `plan` exactly as given (no optimizer pass) and store the
+    /// result as relation `out`.  Implementations honor
+    /// `config.recognize_joins`, `config.threads` and `config.observe`; on
+    /// error no scratch relation of this execution is left behind.
     fn execute_plan(
         &mut self,
-        _plan: &RaExpr,
-        _out: &str,
-        _config: &EngineConfig,
-    ) -> Option<std::result::Result<(), Self::Error>> {
-        None
-    }
+        plan: &RaExpr,
+        out: &str,
+        config: &EngineConfig,
+    ) -> std::result::Result<(), Self::Error>;
 
-    /// Best-effort row count of a materialized relation, used by profiles
-    /// (`explain_analyze`) to fill per-operator `rows_out`.  The default
-    /// `None` is for backends whose "relation" is a compressed
-    /// representation with no cheap tuple count; they report 0 in profiles.
-    fn profile_rows(&self, _relation: &str) -> Option<u64> {
-        None
-    }
+    /// Best-effort removal of a scratch relation (an intermediate of
+    /// [`interpret`], or a session's result relation); failures are ignored.
+    fn drop_scratch(&mut self, name: &str);
+}
 
+/// The physical operators of a possible-worlds representation: each method
+/// materializes one operator's result as a *named* relation inside the
+/// backend's own catalog, which is what keeps correlated sub-queries
+/// correlated in the world-set representations.
+///
+/// [`interpret`] drives these operators; backends only decide *how* each
+/// operator touches their representation (per-world copies, template
+/// manipulation, descriptor conjunction, …), never *in which order* the plan
+/// is evaluated.
+pub trait OperatorBackend: QueryBackend {
     /// Materialize base relation `name` under the result name `out`.
     fn materialize_base(&mut self, name: &str, out: &str) -> std::result::Result<(), Self::Error>;
 
@@ -127,9 +137,8 @@ pub trait QueryBackend: SchemaCatalog {
     /// Equi-join `left ⋈_{left_attr = right_attr} right → out`.
     ///
     /// The default evaluates the join extensionally as a selection over the
-    /// product; backends with a real join algorithm (hash join on ordinary
-    /// databases and UWSDTs, descriptor-conjoining join on U-relations)
-    /// override this.
+    /// product; backends with a real join algorithm (hash join on UWSDTs,
+    /// descriptor-conjoining join on U-relations) override this.
     fn apply_equi_join(
         &mut self,
         left: &str,
@@ -171,12 +180,6 @@ pub trait QueryBackend: SchemaCatalog {
         to: &str,
         out: &str,
     ) -> std::result::Result<(), Self::Error>;
-
-    /// Best-effort removal of a scratch relation.  Called by the executor
-    /// for every temporary it created on error paths (and, when
-    /// [`EngineConfig::drop_temps`] is set, after success as well); failures
-    /// are ignored.
-    fn drop_scratch(&mut self, name: &str);
 }
 
 /// The write half of a backend: the paper's update language (possible and
@@ -344,17 +347,11 @@ impl TempNames {
     }
 }
 
-/// The per-execution state threaded through every physical operator: the
-/// scratch-name allocator plus the worker pool sized by
-/// [`EngineConfig::threads`].
-///
-/// Backends without parallel operators simply ignore [`ExecContext::pool`];
-/// backends that fan rows out (the single-world [`Database`] below) draw the
-/// pool from here so one `EngineConfig` knob controls the whole pipeline.
+/// The per-execution state [`interpret`] threads through every physical
+/// operator: the scratch-name allocator plus the observation scope.
 #[derive(Debug, Default)]
 pub struct ExecContext {
     temps: TempNames,
-    pool: WorkerPool,
     /// The observation scope of this execution — the observer plus the
     /// session/request ids every instrumented operator stamps on its
     /// measurements.  Captured from the thread-local [`ws_obs::scope`]
@@ -368,7 +365,6 @@ impl ExecContext {
     pub fn new(config: &EngineConfig) -> Self {
         ExecContext {
             temps: TempNames::new(),
-            pool: WorkerPool::new(config.threads),
             obs: if config.observe {
                 ws_obs::scope()
             } else {
@@ -386,11 +382,6 @@ impl ExecContext {
     /// A fresh scratch name that `exists` rejects; recorded for cleanup.
     pub fn fresh(&mut self, exists: impl Fn(&str) -> bool, hint: &str) -> String {
         self.temps.fresh(exists, hint)
-    }
-
-    /// The worker pool operators fan row batches out on.
-    pub fn pool(&self) -> &WorkerPool {
-        &self.pool
     }
 
     /// The scratch names handed out so far (in allocation order).
@@ -423,26 +414,16 @@ pub struct EngineConfig {
     /// and change world counts observed by callers.  Error paths always
     /// clean up regardless of this flag.
     pub drop_temps: bool,
-    /// Worker threads for the parallel physical operators (default 1).
+    /// Worker threads (default 1; `0` is treated as 1).
     ///
-    /// `1` runs every operator serially on the calling thread, reproducing
-    /// the exact behavior and tuple order of the pre-parallel engine; larger
-    /// values hand contiguous row **morsels** out via
-    /// [`crate::par::WorkerPool`] (dynamically scheduled, so stragglers
-    /// don't serialize the batch) and re-concatenate the per-morsel results
-    /// in morsel order, so results are identical (including order) for every
-    /// thread count.  `0` is treated as 1.
+    /// The single-world [`Database`]'s columnar kernels hand contiguous
+    /// [`crate::par::MORSEL_ROWS`]-row morsels out on a
+    /// [`crate::par::WorkerPool`] of this size and re-concatenate the
+    /// per-morsel results in morsel order, so rows *and their order* are
+    /// identical for every thread count.  Sessions size the pool of the
+    /// per-tuple and Monte-Carlo confidence computations from it too; the
+    /// interpreted representation operators run on the calling thread.
     pub threads: usize,
-    /// Dispatch to a backend's whole-plan vectorized executor
-    /// ([`QueryBackend::execute_plan`]) when it has one (default).
-    ///
-    /// On the single-world [`Database`] backend this evaluates the plan over
-    /// dictionary-encoded column batches with selection vectors
-    /// ([`crate::batch`], [`crate::kernels`]) instead of row-at-a-time
-    /// operators; results are bit-identical either way, which the
-    /// equivalence suites check by running both settings.  Backends without
-    /// a columnar executor ignore the flag.
-    pub columnar: bool,
     /// Cache prepared plans keyed by their normalized fingerprint
     /// ([`crate::fingerprint::plan_key`]), so preparing the same query twice
     /// runs the optimizer once (default).  Honored by plan-caching layers
@@ -468,7 +449,6 @@ impl Default for EngineConfig {
             recognize_joins: true,
             drop_temps: false,
             threads: 1,
-            columnar: true,
             plan_cache: true,
             observe: false,
         }
@@ -513,12 +493,11 @@ impl EngineConfig {
             }
         }
         format!(
-            "optimize={} join-recognition={} drop-temps={} threads={} columnar={} plan-cache={} observe={}",
+            "optimize={} join-recognition={} drop-temps={} threads={} plan-cache={} observe={}",
             on_off(self.optimize),
             on_off(self.recognize_joins),
             on_off(self.drop_temps),
             self.threads.max(1),
-            on_off(self.columnar),
             on_off(self.plan_cache),
             on_off(self.observe),
         )
@@ -547,34 +526,25 @@ pub fn evaluate_query_with<B: QueryBackend>(
     } else {
         query.clone()
     };
-    execute_with(backend, &plan, out, config)?;
+    backend.execute_plan(&plan, out, &config)?;
     Ok(out.to_string())
 }
 
-/// Execute an already-planned expression on a backend (no optimization).
-pub fn execute<B: QueryBackend>(
+/// The operator-at-a-time plan interpreter behind every representation
+/// backend's [`QueryBackend::execute_plan`]: walks `plan`, materializes each
+/// composite operand under a fresh scratch name, recognises equi-joins on
+/// top of products (when `config.recognize_joins`), records a profile node
+/// and an `exec.op.<name>.ns` sample per operator (when `config.observe`),
+/// and drops the scratch relations it created on error — and after success
+/// too when `config.drop_temps` is set.
+pub fn interpret<B: OperatorBackend>(
     backend: &mut B,
     plan: &RaExpr,
     out: &str,
+    config: &EngineConfig,
 ) -> std::result::Result<(), B::Error> {
-    execute_with(backend, plan, out, EngineConfig::default())
-}
-
-fn execute_with<B: QueryBackend>(
-    backend: &mut B,
-    plan: &RaExpr,
-    out: &str,
-    config: EngineConfig,
-) -> std::result::Result<(), B::Error> {
-    if config.columnar {
-        // Whole-plan vectorized fast path: no scratch relations are created,
-        // so there is nothing to clean up on either outcome.
-        if let Some(result) = backend.execute_plan(plan, out, &config) {
-            return result;
-        }
-    }
-    let mut ctx = ExecContext::new(&config);
-    let result = eval_node(backend, plan, out, &mut ctx, config);
+    let mut ctx = ExecContext::new(config);
+    let result = eval_node(backend, plan, out, &mut ctx, *config);
     if result.is_err() || config.drop_temps {
         for name in ctx.drain() {
             backend.drop_scratch(&name);
@@ -608,12 +578,12 @@ pub(crate) fn op_detail(plan: &RaExpr) -> String {
     }
 }
 
-/// One operator of the row-at-a-time path, wrapped in instrumentation when
-/// [`EngineConfig::observe`] is on: a profile node (rows out via
-/// [`QueryBackend::profile_rows`]) plus an `exec.op.<name>.ns` histogram
-/// sample on the scope's observer.  With the flag off this is a single
-/// branch in front of [`eval_node_inner`].
-fn eval_node<B: QueryBackend>(
+/// One operator of [`interpret`], wrapped in instrumentation when
+/// [`EngineConfig::observe`] is on: a profile node (the representations
+/// have no cheap tuple count, so it reports 0 rows) plus an
+/// `exec.op.<name>.ns` histogram sample on the scope's observer.  With the
+/// flag off this is a single branch in front of [`eval_node_inner`].
+fn eval_node<B: OperatorBackend>(
     backend: &mut B,
     plan: &RaExpr,
     out: &str,
@@ -627,11 +597,7 @@ fn eval_node<B: QueryBackend>(
     let started = std::time::Instant::now();
     let result = eval_node_inner(backend, plan, out, ctx, config);
     if let Some(token) = token {
-        let rows_out = match &result {
-            Ok(()) => backend.profile_rows(out).unwrap_or(0),
-            Err(_) => 0,
-        };
-        token.finish(rows_out, 1, "row");
+        token.finish(0, 1, "row");
     }
     if let Some(scope) = ctx.obs() {
         scope
@@ -643,7 +609,7 @@ fn eval_node<B: QueryBackend>(
     result
 }
 
-fn eval_node_inner<B: QueryBackend>(
+fn eval_node_inner<B: OperatorBackend>(
     backend: &mut B,
     plan: &RaExpr,
     out: &str,
@@ -734,7 +700,7 @@ fn eval_node_inner<B: QueryBackend>(
 
 /// Evaluate an operand expression; base relations are used in place (no
 /// copy), composite expressions are materialized under a scratch name.
-fn eval_operand<B: QueryBackend>(
+fn eval_operand<B: OperatorBackend>(
     backend: &mut B,
     expr: &RaExpr,
     ctx: &mut ExecContext,
@@ -850,195 +816,10 @@ impl QueryBackend for Database {
     type Error = RelationalError;
 
     /// The vectorized columnar executor ([`crate::kernels`]): the whole plan
-    /// evaluated over [`crate::batch::ColumnBatch`]es with selection vectors,
-    /// bit-identical to the operator path below.  Bare `Rel` plans fall back
-    /// to [`QueryBackend::materialize_base`] — a plain clone beats an
-    /// encode/decode roundtrip.
-    fn execute_plan(
-        &mut self,
-        plan: &RaExpr,
-        out: &str,
-        config: &EngineConfig,
-    ) -> Option<Result<()>> {
-        if matches!(plan, RaExpr::Rel(_)) {
-            return None;
-        }
-        Some(crate::kernels::execute_columnar(self, plan, out, config))
-    }
-
-    /// Single-world relations have an exact, O(1) tuple count.
-    fn profile_rows(&self, relation: &str) -> Option<u64> {
-        self.relation(relation).ok().map(|r| r.len() as u64)
-    }
-
-    fn materialize_base(&mut self, name: &str, out: &str) -> Result<()> {
-        let relation = self.relation(name)?.clone();
-        self.store_as(relation, out);
-        Ok(())
-    }
-
-    fn apply_select(
-        &mut self,
-        input: &str,
-        pred: &Predicate,
-        out: &str,
-        ctx: &mut ExecContext,
-    ) -> Result<()> {
-        let rel = self.relation(input)?;
-        let schema = rel.schema();
-        let chunks = ctx.pool().map_chunks(rel.rows(), |_, chunk| {
-            chunk
-                .iter()
-                .filter_map(|row| match pred.eval(schema, row) {
-                    Ok(true) => Some(Ok(row.clone())),
-                    Ok(false) => None,
-                    Err(e) => Some(Err(e)),
-                })
-                .collect::<Result<Vec<Tuple>>>()
-        });
-        let mut rows = Vec::new();
-        for chunk in chunks {
-            rows.extend(chunk?);
-        }
-        let result = Relation::with_rows(schema.clone(), rows)?;
-        self.store_as(result, out);
-        Ok(())
-    }
-
-    fn apply_project(
-        &mut self,
-        input: &str,
-        attrs: &[String],
-        out: &str,
-        ctx: &mut ExecContext,
-    ) -> Result<()> {
-        let rel = self.relation(input)?;
-        let attr_refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
-        let positions: Vec<usize> = attr_refs
-            .iter()
-            .map(|a| rel.schema().position_of(a))
-            .collect::<Result<_>>()?;
-        let schema = rel.schema().projected(&attr_refs)?;
-        let rows = ctx
-            .pool()
-            .map(rel.rows(), |row| row.project_positions(&positions));
-        let result = Relation::with_rows(schema, rows)?;
-        self.store_as(result, out);
-        Ok(())
-    }
-
-    fn apply_product(
-        &mut self,
-        left: &str,
-        right: &str,
-        out: &str,
-        ctx: &mut ExecContext,
-    ) -> Result<()> {
-        let l = self.relation(left)?;
-        let r = self.relation(right)?;
-        let schema = l.schema().product(r.schema(), out)?;
-        let right_rows = r.rows();
-        let rows = ctx.pool().flat_map(l.rows(), |lt| {
-            right_rows.iter().map(|rt| lt.concat(rt)).collect()
-        });
-        let result = Relation::with_rows(schema, rows)?;
-        self.store_as(result, out);
-        Ok(())
-    }
-
-    /// Hash equi-join with a partitioned build and a parallel probe.
-    ///
-    /// The build phase hashes the right operand's join column chunk by chunk
-    /// (each worker builds a partial table, merged in chunk order so the
-    /// per-key row lists stay sorted by row index); the probe phase fans the
-    /// left rows out and emits, per left row, the matching right rows in
-    /// index order.  The output is therefore exactly the row order the
-    /// product-then-select default produces — `⊥`/`?` join keys never match,
-    /// mirroring [`CmpOp::eval`]'s undefined comparisons.
-    fn apply_equi_join(
-        &mut self,
-        left: &str,
-        right: &str,
-        left_attr: &str,
-        right_attr: &str,
-        out: &str,
-        ctx: &mut ExecContext,
-    ) -> Result<()> {
-        let l = self.relation(left)?;
-        let r = self.relation(right)?;
-        let schema = l.schema().product(r.schema(), out)?;
-        let lpos = l.schema().position_of(left_attr)?;
-        let rpos = r.schema().position_of(right_attr)?;
-
-        // Build: partition the right rows, hash each chunk, merge in chunk
-        // order (chunks are contiguous, so per-key row lists stay ascending).
-        let joinable = |v: &Value| !matches!(v, Value::Bottom | Value::Unknown);
-        let partials = ctx.pool().map_chunks(r.rows(), |offset, chunk| {
-            let mut table: HashMap<Value, Vec<usize>> = HashMap::new();
-            for (i, rt) in chunk.iter().enumerate() {
-                if joinable(&rt[rpos]) {
-                    table.entry(rt[rpos].clone()).or_default().push(offset + i);
-                }
-            }
-            table
-        });
-        let mut table: HashMap<Value, Vec<usize>> = HashMap::new();
-        for partial in partials {
-            for (key, indices) in partial {
-                table.entry(key).or_default().extend(indices);
-            }
-        }
-
-        // Probe: left rows in order; matches inherit the right rows' order.
-        let right_rows = r.rows();
-        let rows = ctx.pool().flat_map(l.rows(), |lt| {
-            if !joinable(&lt[lpos]) {
-                return Vec::new();
-            }
-            match table.get(&lt[lpos]) {
-                Some(matches) => matches.iter().map(|&i| lt.concat(&right_rows[i])).collect(),
-                None => Vec::new(),
-            }
-        });
-        let result = Relation::with_rows(schema, rows)?;
-        self.store_as(result, out);
-        Ok(())
-    }
-
-    fn apply_union(&mut self, left: &str, right: &str, out: &str) -> Result<()> {
-        let l = self.relation(left)?;
-        let r = self.relation(right)?;
-        l.schema().check_union_compatible(r.schema())?;
-        let mut result = Relation::new(l.schema().clone());
-        for row in l.rows().iter().chain(r.rows()) {
-            result.push(row.clone())?;
-        }
-        result.dedup();
-        self.store_as(result, out);
-        Ok(())
-    }
-
-    fn apply_difference(&mut self, left: &str, right: &str, out: &str) -> Result<()> {
-        let l = self.relation(left)?;
-        let r = self.relation(right)?;
-        l.schema().check_union_compatible(r.schema())?;
-        let right_rows: std::collections::HashSet<&crate::tuple::Tuple> = r.rows().iter().collect();
-        let mut result = Relation::new(l.schema().clone());
-        for row in l.rows() {
-            if !right_rows.contains(row) {
-                result.push(row.clone())?;
-            }
-        }
-        result.dedup();
-        self.store_as(result, out);
-        Ok(())
-    }
-
-    fn apply_rename(&mut self, input: &str, from: &str, to: &str, out: &str) -> Result<()> {
-        let mut result = self.relation(input)?.clone();
-        *result.schema_mut() = result.schema().renamed_attr(from, to)?;
-        self.store_as(result, out);
-        Ok(())
+    /// evaluated over [`crate::batch::ColumnBatch`]es with selection vectors.
+    /// It creates no intermediate catalog relations.
+    fn execute_plan(&mut self, plan: &RaExpr, out: &str, config: &EngineConfig) -> Result<()> {
+        crate::kernels::execute_columnar(self, plan, out, config)
     }
 
     fn drop_scratch(&mut self, name: &str) {
@@ -1193,35 +974,6 @@ mod tests {
     }
 
     #[test]
-    fn temp_cleanup_leaves_only_base_relations_and_the_result() {
-        let mut backend = db();
-        let query = query_suite().remove(3);
-        evaluate_query_with(
-            &mut backend,
-            &query,
-            "OUT",
-            EngineConfig::with_temp_cleanup(),
-        )
-        .unwrap();
-        let mut names = backend.relation_names();
-        names.sort_unstable();
-        assert_eq!(names, vec!["OUT", "R", "S"]);
-    }
-
-    #[test]
-    fn scratch_relations_are_dropped_on_error() {
-        let mut backend = db();
-        // The union is incompatible (arity 1 vs 2) and fails *after* both
-        // operands have been materialized as scratch relations.
-        let query = RaExpr::rel("R")
-            .project(vec!["A"])
-            .union(RaExpr::rel("S").select(Predicate::eq_const("C", 10i64)));
-        let before = backend.relation_names().len();
-        assert!(evaluate_query_with(&mut backend, &query, "OUT", EngineConfig::naive()).is_err());
-        assert_eq!(backend.relation_names().len(), before, "no leaked scratch");
-    }
-
-    #[test]
     fn unknown_relations_are_reported() {
         let mut backend = db();
         let err = evaluate_query(&mut backend, &RaExpr::rel("NOPE"), "OUT");
@@ -1351,13 +1103,11 @@ mod tests {
     fn engine_config_summary_is_self_describing() {
         assert_eq!(
             EngineConfig::default().summary(),
-            "optimize=on join-recognition=on drop-temps=off threads=1 columnar=on \
-             plan-cache=on observe=off"
+            "optimize=on join-recognition=on drop-temps=off threads=1 plan-cache=on observe=off"
         );
         assert_eq!(
             EngineConfig::naive().summary(),
-            "optimize=off join-recognition=off drop-temps=off threads=1 columnar=on \
-             plan-cache=on observe=off"
+            "optimize=off join-recognition=off drop-temps=off threads=1 plan-cache=on observe=off"
         );
         let parallel = EngineConfig::with_threads(8);
         assert!(parallel.summary().contains("threads=8"));

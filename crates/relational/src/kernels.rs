@@ -1,13 +1,13 @@
-//! Tight-loop kernels and the whole-plan columnar executor for the
-//! single-world [`Database`] backend.
+//! Tight-loop kernels and the whole-plan columnar executor: the one
+//! executor of the single-world [`Database`] backend.
 //!
-//! The row-at-a-time operators in [`crate::engine`] clone whole [`Tuple`]s
-//! through every plan node.  This module evaluates an entire (optimized)
-//! plan over [`ColumnBatch`]es instead: base relations are encoded into flat
-//! columns (only the attributes the plan touches), selections become
-//! **selection vectors** computed by per-column kernels, products become
-//! repeat/tile loops, equi-joins hash flat `i64` key columns, and tuples are
-//! only materialized at the very end, for the rows that survived.
+//! Rather than cloning whole [`Tuple`]s through every plan node, this module
+//! evaluates an entire (optimized) plan over [`ColumnBatch`]es: base
+//! relations are encoded into flat columns (only the attributes the plan
+//! touches), selections become **selection vectors** computed by per-column
+//! kernels, products become repeat/tile loops, equi-joins hash flat `i64` key
+//! columns, and tuples are only materialized at the very end, for the rows
+//! that survived.
 //!
 //! Selections over base relations are additionally **late-materializing**: a
 //! `σ`-chain over a stored relation carries only a `View` — the relation's
@@ -18,17 +18,22 @@
 //!
 //! Equivalence contract (checked by the engine's equivalence suites):
 //!
-//! * **Row order** is bit-identical to the row-at-a-time operators for every
-//!   plan and thread count: selections preserve input order, products are
-//!   left-major, the hash join probes in left order with per-key right rows
-//!   ascending (exactly the product-then-select order), and union/difference
-//!   deduplicate into the same `BTreeSet` order.
-//! * **Comparison semantics** mirror [`CmpOp::eval`](crate::predicate::CmpOp::eval): comparisons involving
+//! * **Answers** equal the reference evaluator
+//!   [`evaluate_set`](crate::algebra::evaluate_set) as sets, for every plan,
+//!   with or without the optimizer and join recognition.
+//! * **Row order** is deterministic and independent of the thread count:
+//!   selections preserve input order, products are left-major, the hash
+//!   join probes in left order with per-key right rows ascending (exactly
+//!   the product-then-select order), and union/difference deduplicate into
+//!   `BTreeSet` order — so rows and order at any thread count are
+//!   bit-identical to `threads = 1`.
+//! * **Comparison semantics** mirror
+//!   [`CmpOp::eval`](crate::predicate::CmpOp::eval): comparisons involving
 //!   `⊥`/`?` or mixed types are undefined (`false`), and undefined join keys
 //!   never match.
-//! * **Error semantics** mirror the row path's lazy per-row evaluation: an
-//!   atom's attribute positions are only resolved while some row is still
-//!   active, so a conjunct that filters everything out masks errors in later
+//! * **Error semantics** mirror row-by-row [`Predicate::eval`]: an atom's
+//!   attribute positions are only resolved while some row is still active,
+//!   so a conjunct that filters everything out masks errors in later
 //!   conjuncts, and empty inputs never touch the predicate.  (The one
 //!   divergence: a predicate with *several* unknown attributes may surface a
 //!   different one of those errors than strict row order would.)
@@ -73,7 +78,9 @@ enum Eval {
 /// Evaluate `plan` on `db` column-at-a-time and store the result as `out`.
 ///
 /// This is the [`crate::engine::QueryBackend::execute_plan`] implementation
-/// of [`Database`]; it creates no intermediate catalog relations.
+/// of [`Database`]; it creates no intermediate catalog relations.  A bare
+/// base relation evaluates to an unfiltered view, stored as a clone that
+/// shares the base relation's rows.
 pub(crate) fn execute_columnar(
     db: &mut Database,
     plan: &RaExpr,
@@ -210,7 +217,8 @@ fn eval_expr_inner(
 ) -> Result<Eval> {
     match expr {
         RaExpr::Rel(name) => {
-            // Validate the name now, exactly where the row path would.
+            // Validate the name now, exactly where the reference evaluator
+            // would.
             db.relation(name)?;
             Ok(Eval::View(View {
                 name: name.clone(),
@@ -257,7 +265,7 @@ fn eval_expr_inner(
                             // rows in place — no column encode at all.
                             // Compilation fails only on unknown attributes,
                             // which fall through to the batch path below so
-                            // error masking matches the row path; empty
+                            // error masking matches row-by-row evaluation; empty
                             // inputs also fall through (and never touch the
                             // predicate, exactly like zero row evaluations).
                             let rows = rel.rows();
@@ -555,7 +563,7 @@ pub(crate) fn select_vector(
     pool: &WorkerPool,
 ) -> Result<Vec<u32>> {
     if batch.is_empty() {
-        // Mirrors the row path: with no rows the predicate is never touched,
+        // Mirrors row-by-row evaluation: with no rows the predicate is never touched,
         // so unknown attributes go unnoticed.
         return Ok(Vec::new());
     }
@@ -570,7 +578,7 @@ pub(crate) fn select_vector(
 
 /// Evaluate `pred` over the active (ascending) row set, returning the
 /// surviving rows, still ascending.  Attribute positions are resolved only
-/// while the active set is non-empty, reproducing the row path's
+/// while the active set is non-empty, reproducing row-by-row evaluation's
 /// short-circuit error masking.
 fn eval_pred(batch: &ColumnBatch, pred: &Predicate, active: Vec<u32>) -> Result<Vec<u32>> {
     if active.is_empty() {

@@ -15,14 +15,14 @@
 //!   acceleration,
 //! * a [`Database`] catalog mapping relation names to relations, and
 //! * the **unified query engine** ([`engine`]): the [`QueryBackend`] trait,
-//!   the shared plan executor and the catalog-generic rule-based
+//!   the shared operator interpreter and the catalog-generic rule-based
 //!   [`optimizer`] that every possible-worlds representation of this
 //!   repository (single-world, WSD, UWSDT, U-relations, explicit worlds)
 //!   evaluates queries through, and
-//! * the **vectorized columnar executor** ([`batch`], [`kernels`]): plans on
-//!   the single-world backend evaluate batch-at-a-time over flat `i64` /
-//!   dictionary-encoded columns with selection vectors, bit-identical to the
-//!   operator path (toggle with [`engine::EngineConfig::columnar`]), and
+//! * the **vectorized columnar executor** ([`batch`], [`kernels`]): the one
+//!   executor of the single-world backend, evaluating plans batch-at-a-time
+//!   over flat `i64` / dictionary-encoded columns with selection vectors,
+//!   and
 //! * the **lineage layer** ([`lineage`]): boolean provenance over
 //!   finite-domain world variables with an annotated executor, a safe-plan
 //!   (extensional) evaluator, and a Shannon-expansion d-tree compiler — the
@@ -30,10 +30,9 @@
 //!   the shared Hoeffding (ε, δ) sample planner ([`approx`]) every
 //!   Monte-Carlo confidence estimator draws its trial blocks from, and
 //! * the deterministic fan-out/fan-in [`par::WorkerPool`] behind
-//!   [`engine::EngineConfig::threads`]: scans, selections, projections, the
-//!   equi-join build/probe phases and the columnar kernels hand out row
-//!   morsels across cores with output canonicalized to the serial order for
-//!   any thread count.
+//!   [`engine::EngineConfig::threads`]: the columnar kernels and the
+//!   confidence computations hand out work across cores with output
+//!   canonicalized to the serial order for any thread count.
 //!
 //! Everything in the world-set stack (`ws-core`, `ws-uwsdt`, `ws-census`,
 //! `ws-baselines`) is built on top of these types; the single-world evaluator
@@ -44,7 +43,6 @@ pub mod algebra;
 pub mod approx;
 pub mod batch;
 pub mod constraint;
-pub mod cursor;
 pub mod database;
 pub mod engine;
 pub mod error;
@@ -66,11 +64,10 @@ pub use batch::{Column, ColumnBatch};
 pub use constraint::{
     world_satisfies, AttrComparison, Dependency, EqualityGeneratingDependency, FunctionalDependency,
 };
-pub use cursor::Cursor;
 pub use database::Database;
 pub use engine::{
-    evaluate_query, evaluate_query_with, execute, EngineConfig, ExecContext, QueryBackend,
-    SchemaCatalog, TempNames, WriteBackend,
+    evaluate_query, evaluate_query_with, interpret, EngineConfig, ExecContext, OperatorBackend,
+    QueryBackend, SchemaCatalog, TempNames, WriteBackend,
 };
 pub use error::{RelationalError, Result};
 pub use fingerprint::{fingerprint, normalize_plan, normalize_predicate, plan_key};

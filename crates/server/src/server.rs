@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -31,15 +31,20 @@ const ROW_BATCH: usize = 256;
 /// `Shutdown` verb or [`ServerHandle::shutdown`]).
 ///
 /// Blocks the calling thread; connection handlers run on their own threads
-/// and are joined before this returns.  The store itself is *not* closed —
-/// the caller decides when the committer stops.
+/// and are joined before this returns.  Once `stop` is seen, the read half
+/// of every live connection is shut down, so a handler blocked waiting for
+/// an idle client's next request sees end-of-stream while responses still
+/// in flight go out.  The store itself is *not* closed — the caller decides
+/// when the committer stops.
 pub fn serve(
     listener: TcpListener,
     store: ConcurrentStore<AnyBackend>,
     stop: Arc<AtomicBool>,
 ) -> io::Result<()> {
     let addr = listener.local_addr()?;
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
+    // Each handler beside a second handle on its stream, used to end the
+    // handler's blocking read at shutdown.
+    let mut workers: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
     for conn in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
             break;
@@ -48,17 +53,26 @@ pub fn serve(
             Ok(s) => s,
             Err(_) => continue,
         };
+        let peer = match stream.try_clone() {
+            Ok(p) => p,
+            Err(_) => continue,
+        };
         // Reap the handlers of connections that already hung up, so the
         // list holds live connections rather than every one ever accepted.
-        workers.retain(|w| !w.is_finished());
+        workers.retain(|(_, w)| !w.is_finished());
         let store = store.clone();
         let stop = Arc::clone(&stop);
-        workers.push(std::thread::spawn(move || {
+        let worker = std::thread::spawn(move || {
             // A connection error tears down that one connection only.
             let _ = handle_connection(stream, store, stop, addr);
-        }));
+        });
+        workers.push((peer, worker));
     }
-    for w in workers {
+    for (peer, _) in &workers {
+        // Fails only if the client already hung up, which ends the read too.
+        let _ = peer.shutdown(Shutdown::Read);
+    }
+    for (_, w) in workers {
         let _ = w.join();
     }
     Ok(())
@@ -378,5 +392,40 @@ fn apply_through_store(store: &ConcurrentStore<AnyBackend>, update: UpdateExpr) 
         },
         Err(ws_storage::DurableError::Backend(e)) => error_response(&e),
         Err(ws_storage::DurableError::Storage(e)) => storage_error_response(&e),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+    use std::sync::mpsc;
+    use std::time::Duration;
+    use ws_core::wsd::example_census_wsd;
+    use ws_storage::{MemVfs, SyncPolicy};
+
+    #[test]
+    fn shutdown_returns_with_an_idle_client_connected() {
+        let store: ConcurrentStore<AnyBackend> = ConcurrentStore::create(
+            Box::new(MemVfs::new()),
+            AnyBackend::Wsd(example_census_wsd()),
+            SyncPolicy::EveryRecord,
+        )
+        .unwrap();
+        let server = spawn("127.0.0.1:0", store.clone()).unwrap();
+        // Connected (its handler is blocked waiting for the next request)
+        // and never sends anything else.
+        let idle = Client::connect(server.addr()).unwrap();
+        let (done_tx, done_rx) = mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            let _ = done_tx.send(server.shutdown());
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("shutdown hung while a client was connected and idle")
+            .unwrap();
+        stopper.join().unwrap();
+        drop(idle);
+        store.close().unwrap();
     }
 }

@@ -45,7 +45,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ws_core::ops::update::{apply_update, UpdateExpr};
-use ws_relational::engine::{EngineConfig, ExecContext, QueryBackend, SchemaCatalog, WriteBackend};
+use ws_relational::engine::{EngineConfig, QueryBackend, SchemaCatalog, WriteBackend};
 use ws_relational::{Dependency, Predicate, RaExpr, Schema, Tuple, Value};
 
 /// Durability counters, surfaced through `maybms::SessionStats`.
@@ -453,103 +453,9 @@ impl<B: QueryBackend> QueryBackend for Durable<B> {
         plan: &RaExpr,
         out: &str,
         config: &EngineConfig,
-    ) -> Option<std::result::Result<(), Self::Error>> {
+    ) -> std::result::Result<(), Self::Error> {
         self.inner
             .execute_plan(plan, out, config)
-            .map(|r| r.map_err(DurableError::Backend))
-    }
-
-    fn profile_rows(&self, relation: &str) -> Option<u64> {
-        self.inner.profile_rows(relation)
-    }
-
-    fn materialize_base(&mut self, name: &str, out: &str) -> std::result::Result<(), Self::Error> {
-        self.inner
-            .materialize_base(name, out)
-            .map_err(DurableError::Backend)
-    }
-
-    fn apply_select(
-        &mut self,
-        input: &str,
-        pred: &Predicate,
-        out: &str,
-        ctx: &mut ExecContext,
-    ) -> std::result::Result<(), Self::Error> {
-        self.inner
-            .apply_select(input, pred, out, ctx)
-            .map_err(DurableError::Backend)
-    }
-
-    fn apply_project(
-        &mut self,
-        input: &str,
-        attrs: &[String],
-        out: &str,
-        ctx: &mut ExecContext,
-    ) -> std::result::Result<(), Self::Error> {
-        self.inner
-            .apply_project(input, attrs, out, ctx)
-            .map_err(DurableError::Backend)
-    }
-
-    fn apply_product(
-        &mut self,
-        left: &str,
-        right: &str,
-        out: &str,
-        ctx: &mut ExecContext,
-    ) -> std::result::Result<(), Self::Error> {
-        self.inner
-            .apply_product(left, right, out, ctx)
-            .map_err(DurableError::Backend)
-    }
-
-    fn apply_equi_join(
-        &mut self,
-        left: &str,
-        right: &str,
-        left_attr: &str,
-        right_attr: &str,
-        out: &str,
-        ctx: &mut ExecContext,
-    ) -> std::result::Result<(), Self::Error> {
-        self.inner
-            .apply_equi_join(left, right, left_attr, right_attr, out, ctx)
-            .map_err(DurableError::Backend)
-    }
-
-    fn apply_union(
-        &mut self,
-        left: &str,
-        right: &str,
-        out: &str,
-    ) -> std::result::Result<(), Self::Error> {
-        self.inner
-            .apply_union(left, right, out)
-            .map_err(DurableError::Backend)
-    }
-
-    fn apply_difference(
-        &mut self,
-        left: &str,
-        right: &str,
-        out: &str,
-    ) -> std::result::Result<(), Self::Error> {
-        self.inner
-            .apply_difference(left, right, out)
-            .map_err(DurableError::Backend)
-    }
-
-    fn apply_rename(
-        &mut self,
-        input: &str,
-        from: &str,
-        to: &str,
-        out: &str,
-    ) -> std::result::Result<(), Self::Error> {
-        self.inner
-            .apply_rename(input, from, to, out)
             .map_err(DurableError::Backend)
     }
 

@@ -16,7 +16,8 @@
 //! evaluates differences via conditional confidence instead — see
 //! `ws_core::conditional`).
 
-use ws_relational::engine::{self, EngineConfig, ExecContext, QueryBackend, SchemaCatalog};
+use ws_relational::engine::{self, EngineConfig, ExecContext, OperatorBackend, QueryBackend};
+use ws_relational::SchemaCatalog;
 use ws_relational::{CmpOp, Predicate, RaExpr, RelationalError, Schema, Tuple};
 
 use crate::database::UDatabase;
@@ -164,6 +165,16 @@ impl SchemaCatalog for UDatabase {
 impl QueryBackend for UDatabase {
     type Error = UrelError;
 
+    fn execute_plan(&mut self, plan: &RaExpr, out: &str, config: &EngineConfig) -> Result<()> {
+        engine::interpret(self, plan, out, config)
+    }
+
+    fn drop_scratch(&mut self, name: &str) {
+        let _ = self.remove_relation(name);
+    }
+}
+
+impl OperatorBackend for UDatabase {
     fn materialize_base(&mut self, name: &str, out: &str) -> Result<()> {
         let relation = self.relation(name)?.clone();
         self.store_as(relation, out)
@@ -234,24 +245,6 @@ impl QueryBackend for UDatabase {
         let result = rename(self, input, from, to)?;
         self.store_as(result, out)
     }
-
-    fn drop_scratch(&mut self, name: &str) {
-        let _ = self.remove_relation(name);
-    }
-}
-
-/// Evaluate a query through the unified `optimize → execute` pipeline and
-/// register its result under `out` in the catalog, returning the (final)
-/// relation name.  Scratch relations are dropped on success and on error —
-/// U-relations are self-contained, so cleanup cannot perturb the world
-/// table.
-#[deprecated(
-    since = "0.1.0",
-    note = "open a `maybms::Session` on the UDatabase (prepare/execute/stream), or call \
-            `ws_relational::engine::evaluate_query_with` directly"
-)]
-pub fn evaluate_query(udb: &mut UDatabase, query: &RaExpr, out: &str) -> Result<String> {
-    engine::evaluate_query_with(udb, query, out, EngineConfig::with_temp_cleanup())
 }
 
 /// The possible tuples of a query answer, computed without touching the

@@ -16,8 +16,8 @@
 use crate::error::{Result, UwsdtError};
 use crate::model::Uwsdt;
 use crate::ops;
-use ws_relational::engine::{self, ExecContext, QueryBackend, SchemaCatalog};
-use ws_relational::{Predicate, RaExpr, RelationalError, Schema};
+use ws_relational::engine::{self, EngineConfig, ExecContext, OperatorBackend, QueryBackend};
+use ws_relational::{Predicate, RaExpr, RelationalError, Schema, SchemaCatalog};
 
 impl SchemaCatalog for Uwsdt {
     fn schema_of(&self, relation: &str) -> ws_relational::Result<Schema> {
@@ -34,6 +34,16 @@ impl SchemaCatalog for Uwsdt {
 impl QueryBackend for Uwsdt {
     type Error = UwsdtError;
 
+    fn execute_plan(&mut self, plan: &RaExpr, out: &str, config: &EngineConfig) -> Result<()> {
+        engine::interpret(self, plan, out, config)
+    }
+
+    fn drop_scratch(&mut self, name: &str) {
+        let _ = self.drop_relation(name);
+    }
+}
+
+impl OperatorBackend for Uwsdt {
     fn materialize_base(&mut self, name: &str, out: &str) -> Result<()> {
         // A base relation at the root of a plan is materialized by the
         // identity projection, which copies the template and re-links its
@@ -103,22 +113,6 @@ impl QueryBackend for Uwsdt {
     fn apply_rename(&mut self, input: &str, from: &str, to: &str, out: &str) -> Result<()> {
         ops::rename(self, input, out, from, to)
     }
-
-    fn drop_scratch(&mut self, name: &str) {
-        let _ = self.drop_relation(name);
-    }
-}
-
-/// Evaluate a relational-algebra query through the unified
-/// `optimize → execute` pipeline, materializing the result as relation
-/// `out` inside the same UWSDT.  Returns the result relation's name.
-#[deprecated(
-    since = "0.1.0",
-    note = "open a `maybms::Session` on the Uwsdt (prepare/execute/stream), or call \
-            `ws_relational::engine::evaluate_query` directly"
-)]
-pub fn evaluate_query(uwsdt: &mut Uwsdt, query: &RaExpr, out: &str) -> Result<String> {
-    engine::evaluate_query(uwsdt, query, out)
 }
 
 #[cfg(test)]

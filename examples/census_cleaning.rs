@@ -6,8 +6,8 @@
 //! dependencies of Figure 25, and evaluates the queries Q1–Q6 of Figure 29 on
 //! the cleaned representation — one session, six prepared plans — printing
 //! the Figure-27-style characteristics of every result.  The single-world
-//! baseline streams through the volcano cursor of `ws-relational` without
-//! materializing anything.
+//! baseline replays the same prepared plans in a session over the clean
+//! world, on the columnar executor.
 //!
 //! Run with: `cargo run --release --example census_cleaning -p maybms -- [tuples] [density]`
 //! (defaults: 20000 tuples, 0.1% density).
@@ -61,8 +61,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Evaluate Q1–Q6 on the cleaned UWSDT (one session, prepared plans) and
-    // on the single clean world (streamed through the cursor).
-    let one_world = scenario.one_world();
+    // on the single clean world (a second session replaying the same plans).
+    let mut one_world = Session::new(scenario.one_world());
     let mut session = Session::new(uwsdt);
     println!(
         "\n{:<4} {:>10} {:>8} {:>9} {:>9} {:>10} {:>12}",
@@ -76,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let stats = stats_for(session.backend(), &out)?;
 
         let start = Instant::now();
-        let baseline_rows = Cursor::open(&one_world, prepared.plan())?.try_count()?;
+        let baseline_rows = one_world.execute(&prepared)?.count();
         let baseline_time = start.elapsed();
 
         println!(

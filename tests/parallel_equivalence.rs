@@ -80,9 +80,9 @@ fn database_fan_out_is_identical_across_threads_at_morsel_boundaries() {
     // The columnar executor fans contiguous 1024-row morsels out to the
     // worker pool; relations sized right at the boundary (and an
     // all-filtering selection, whose morsels all come back empty) must
-    // produce bit-identical rows at every thread count, with the columnar
-    // path both on and off.
-    let morsel = maybms::relational::cursor::NATIVE_BATCH_ROWS;
+    // match the reference evaluator and produce bit-identical rows at every
+    // thread count, with the optimizer both on and off.
+    let morsel = maybms::relational::par::MORSEL_ROWS;
     for n in [0usize, 1, morsel - 1, morsel, morsel + 1, 2 * morsel + 452] {
         let mut r = Relation::new(Schema::new("R", &["A", "B"]).unwrap());
         for i in 0..n {
@@ -99,14 +99,25 @@ fn database_fan_out_is_identical_across_threads_at_morsel_boundaries() {
                 .project(vec!["B"]),
         ];
         for query in &queries {
-            for columnar in [true, false] {
+            let reference: BTreeSet<Tuple> = maybms::relational::evaluate_set(&db, query)
+                .unwrap()
+                .rows()
+                .iter()
+                .cloned()
+                .collect();
+            for optimize in [true, false] {
                 let serial_cfg = EngineConfig {
-                    columnar,
+                    optimize,
                     ..EngineConfig::default()
                 };
                 let mut serial_db = db.clone();
                 let out = evaluate_query_with(&mut serial_db, query, "OUT", serial_cfg).unwrap();
                 let serial_rows = serial_db.relation(&out).unwrap().rows().to_vec();
+                assert_eq!(
+                    serial_rows.iter().cloned().collect::<BTreeSet<_>>(),
+                    reference,
+                    "n={n} optimize={optimize}: answer differs from the reference for {query}"
+                );
 
                 for threads in [2usize, 4] {
                     let mut config = serial_cfg;
@@ -116,7 +127,7 @@ fn database_fan_out_is_identical_across_threads_at_morsel_boundaries() {
                     assert_eq!(
                         par_db.relation(&out).unwrap().rows(),
                         &serial_rows[..],
-                        "n={n} columnar={columnar} threads={threads}: \
+                        "n={n} optimize={optimize} threads={threads}: \
                          rows (or order) changed for {query}"
                     );
                 }
