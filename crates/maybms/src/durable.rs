@@ -25,23 +25,26 @@
 //!
 //! A durable session is an ordinary `Session<Durable<AnyBackend>>`: every
 //! `apply`/`apply_all`/`condition` routes through the [`Durable`] wrapper's
-//! log-then-apply verbs, queries pass straight through to the wrapped
-//! representation, and [`SessionStats`](crate::SessionStats) picks up the WAL/checkpoint
-//! counters.  For explicit control over the engine configuration or the
+//! log-then-apply verbs, and queries and confidence (lineage tiers included)
+//! pass straight through to the wrapped representation.  The WAL and
+//! checkpoint counters live in the wrapper: read them with
+//! `session.backend().stats()` ([`Durable::stats`]).  For explicit control over the engine configuration or the
 //! storage medium, build the wrapper yourself and hand it to
 //! [`Session::with_config`] — `Durable<AnyBackend>` (or `Durable<Wsd>`,
 //! `Durable<UDatabase>`, …) is a first-class [`SessionBackend`].
 
 use crate::error::{Error, Result};
-use crate::session::{AnyBackend, RowSource, Session, SessionBackend};
+use crate::session::{AnyBackend, Session, SessionBackend};
+use std::collections::BTreeSet;
 use std::path::Path;
 use ws_core::confidence::approx::ApproxConfig;
 use ws_core::{WorldSet, Wsd};
+use ws_relational::lineage::LineageDb;
 use ws_relational::{Database, Tuple, WorkerPool, WriteBackend};
 use ws_storage::codec::{Reader, Writer};
 use ws_storage::persist::{TAG_DATABASE, TAG_UREL, TAG_UWSDT, TAG_WORLDS, TAG_WSD};
 use ws_storage::vfs::Vfs;
-use ws_storage::{DurabilityStats, Durable, Persist, StorageError};
+use ws_storage::{Durable, Persist, StorageError};
 use ws_urel::UDatabase;
 use ws_uwsdt::Uwsdt;
 
@@ -85,7 +88,7 @@ impl Persist for AnyBackend {
 }
 
 // ---------------------------------------------------------------------------
-// A durable backend is a session backend: reads delegate, stats surface.
+// A durable backend is a session backend: every read delegates.
 // ---------------------------------------------------------------------------
 
 impl<B: SessionBackend> SessionBackend for Durable<B> {
@@ -97,12 +100,8 @@ impl<B: SessionBackend> SessionBackend for Durable<B> {
         self.inner().self_contained()
     }
 
-    fn open_rows(&mut self, out: &str) -> Result<RowSource> {
+    fn open_rows(&mut self, out: &str) -> Result<Vec<Tuple>> {
         self.inner_mut().open_rows(out)
-    }
-
-    fn fetch_batch(&self, out: &str, offset: usize, limit: usize) -> Result<Vec<Tuple>> {
-        self.inner().fetch_batch(out, offset, limit)
     }
 
     fn confidence_rows(&self, out: &str, pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>> {
@@ -118,8 +117,8 @@ impl<B: SessionBackend> SessionBackend for Durable<B> {
         self.inner().confidence_rows_approx(out, config, pool)
     }
 
-    fn durability(&self) -> Option<DurabilityStats> {
-        Some(self.stats())
+    fn lineage(&self, relations: &BTreeSet<String>) -> Option<LineageDb> {
+        self.inner().lineage(relations)
     }
 }
 
@@ -184,7 +183,6 @@ where
 mod tests {
     use super::*;
     use crate::q;
-    use crate::session::SessionStats;
     use crate::UpdateExpr;
     use ws_relational::Predicate;
     use ws_storage::MemVfs;
@@ -204,9 +202,9 @@ mod tests {
         session
             .apply(&UpdateExpr::delete("R", Predicate::eq_const("N", "Brown")))
             .unwrap();
-        let stats = session.stats();
-        assert_eq!((stats.updates_applied, stats.wal_records), (1, 1));
-        assert!(stats.wal_bytes > 0);
+        let wal = session.backend().stats();
+        assert_eq!((session.stats().updates_applied, wal.wal_records), (1, 1));
+        assert!(wal.wal_bytes > 0);
         let p = session.prepare(query.clone()).unwrap();
         let live: Vec<_> = session.execute(&p).unwrap().collect();
         session.close().unwrap();
@@ -216,7 +214,7 @@ mod tests {
         let rows: Vec<_> = recovered.execute(&p).unwrap().collect();
         assert_eq!(rows, live, "recovery must reproduce the possible answers");
         assert_eq!(
-            recovered.stats().wal_records,
+            recovered.backend().stats().wal_records,
             1,
             "the WAL tail was replayed"
         );
@@ -242,9 +240,8 @@ mod tests {
         let out = session.materialize(&p).unwrap();
         assert!(out.starts_with("__"));
         assert_eq!(session.checkpoint().unwrap(), 1);
-        let stats = session.stats();
+        let stats = session.backend().stats();
         assert_eq!((stats.wal_records, stats.checkpoints), (0, 1));
-        assert!(session.summary().contains("checkpoints=1"));
 
         let recovered = Session::open_durable_on(boxed(&vfs)).unwrap();
         let names = match recovered.backend().inner() {
@@ -264,17 +261,5 @@ mod tests {
             err.kind(),
             crate::ErrorKind::Storage(StorageError::NotFound(_))
         ));
-    }
-
-    #[test]
-    fn default_stats_have_zero_durability_counters() {
-        let stats = SessionStats::default();
-        assert_eq!(
-            (stats.wal_records, stats.wal_bytes, stats.checkpoints),
-            (0, 0, 0)
-        );
-        let rendered = stats.to_string();
-        assert!(rendered.contains("wal-records=0"));
-        assert!(rendered.contains("checkpoints=0"));
     }
 }

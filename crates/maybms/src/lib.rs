@@ -1,4 +1,4 @@
-//! # maybms — one fluent, prepared, streaming API over every possible-worlds
+//! # maybms — one fluent, prepared API over every possible-worlds
 //! backend
 //!
 //! This crate is the front door of the *"10^(10^6) Worlds and Beyond"*
@@ -9,7 +9,7 @@
 //! ## The session API
 //!
 //! Open a [`Session`] on any backend, build queries with [`q`], prepare once,
-//! execute many, stream results:
+//! execute many, iterate over the results:
 //!
 //! ```
 //! use maybms::{q, Session};
@@ -25,7 +25,7 @@
 //! let married = session
 //!     .prepare(q("R").select(Predicate::eq_const("M", 1i64)).project(["S"]))?;
 //!
-//! // Streaming execution: `Rows` is an Iterator pulling row batches.
+//! // Execution hands the possible answers over as owned `Rows`.
 //! let answers: Vec<_> = session.execute(&married)?.collect();
 //! assert!(!answers.is_empty());
 //!
@@ -94,8 +94,8 @@ pub mod session;
 pub use builder::{q, typecheck, typecheck_update, IntoQuery, Query};
 pub use error::{Error, ErrorKind, Result};
 pub use session::{
-    AnyBackend, ConfidenceStrategy, Prepared, QueryProfile, RowSource, Rows, Session,
-    SessionBackend, SessionStats, DEFAULT_BATCH_SIZE,
+    AnyBackend, ConfidenceStrategy, Prepared, QueryProfile, Rows, Session, SessionBackend,
+    SessionStats,
 };
 pub use ws_core::ops::update::{apply_update, UpdateExpr};
 pub use ws_storage::{DurabilityStats, Durable, Persist, StorageError};
@@ -115,8 +115,8 @@ pub mod prelude {
     pub use crate::builder::{q, typecheck, typecheck_update, IntoQuery, Query};
     pub use crate::error::{Error, ErrorKind};
     pub use crate::session::{
-        AnyBackend, ConfidenceStrategy, Prepared, QueryProfile, RowSource, Rows, Session,
-        SessionBackend, SessionStats,
+        AnyBackend, ConfidenceStrategy, Prepared, QueryProfile, Rows, Session, SessionBackend,
+        SessionStats,
     };
     pub use ws_apps::{
         consistent_answers, possible_answers, repair_key_violations, MedicalScenario,

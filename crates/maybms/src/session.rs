@@ -1,6 +1,6 @@
 //! The MayBMS-style front door: open a [`Session`] on any possible-worlds
-//! backend, build queries fluently, prepare once / execute many, stream
-//! results.
+//! backend, build queries fluently, prepare once / execute many, iterate
+//! over the results.
 //!
 //! Every representation of this repository evaluates queries through the one
 //! `optimize → execute` pipeline of [`ws_relational::engine`]; what used to
@@ -28,16 +28,17 @@
 //!   ([`mod@ws_relational::fingerprint`]), and runs the rule-based optimizer
 //!   **once** per distinct plan: re-preparing the same query — even written
 //!   with its conjuncts in a different order — is a cache hit.
-//! * [`Session::execute`] replays the cached physical plan and returns a
-//!   streaming [`Rows`] cursor that pulls row batches from the materialized
-//!   result instead of copying it out wholesale.
+//! * [`Session::execute`] replays the cached physical plan and hands the
+//!   possible answer tuples over once, as owned [`Rows`].
 //! * [`Session::confidence`] / [`Session::confidence_approx`] compute the
 //!   paper's §6 tuple confidences (exact, or (ε, δ)-approximate where the
 //!   backend has a Monte-Carlo evaluator) on the same prepared plan.
 //!
 //! [`Session::over`] wraps the five concrete representations in one dynamic
 //! [`AnyBackend`], so code that picks a backend at run time still goes
-//! through the same typed session.
+//! through the same typed session.  A backend plugs in through
+//! [`SessionBackend`], whose methods are all required: a wrapper cannot
+//! silently drop one.  [`SessionStats`] counts only the session's own work.
 
 use crate::builder::{typecheck, typecheck_update, IntoQuery};
 use crate::error::{Error, Result};
@@ -55,7 +56,6 @@ use ws_relational::{
     fingerprint, optimizer, Database, Dependency, Predicate, RaExpr, Schema, Tuple, Value,
     WorkerPool, WriteBackend,
 };
-use ws_storage::DurabilityStats;
 use ws_urel::UDatabase;
 use ws_uwsdt::Uwsdt;
 
@@ -63,27 +63,14 @@ use ws_uwsdt::Uwsdt;
 // Backend capabilities beyond QueryBackend.
 // ---------------------------------------------------------------------------
 
-/// How a session pulls rows out of a materialized query result.
-pub enum RowSource {
-    /// Rows stay inside the backend; the cursor fetches batches by range
-    /// (the single-world database, whose result relation is already the
-    /// answer).
-    InPlace {
-        /// Total number of streamable rows.
-        len: usize,
-    },
-    /// The backend extracted the possible tuples of the represented result
-    /// once (world-set representations, where the stored result is a
-    /// *representation*, not the answer).
-    Owned(Vec<Tuple>),
-}
-
 /// What a [`Session`] needs from a backend on top of the shared
-/// [`QueryBackend`] operators: result streaming and confidence extraction.
+/// [`QueryBackend`] executor: the possible tuples of a result, their
+/// confidences, and a lineage mapping for the cheap confidence tiers.
 ///
+/// Every method is required, so a wrapper ([`AnyBackend`],
+/// [`crate::Durable`]) does not compile until it forwards each one.
 /// Implemented for the five representations ([`Database`], [`Wsd`],
-/// [`Uwsdt`], [`UDatabase`], [`WorldSet`]) and for the dynamic
-/// [`AnyBackend`].
+/// [`Uwsdt`], [`UDatabase`], [`WorldSet`]) and for both wrappers.
 pub trait SessionBackend: QueryBackend {
     /// Short name used in stats and diagnostics.
     fn backend_name(&self) -> &'static str;
@@ -94,53 +81,32 @@ pub trait SessionBackend: QueryBackend {
     /// registered, mirroring [`EngineConfig::drop_temps`]'s guidance.
     fn self_contained(&self) -> bool;
 
-    /// Prepare the materialized result `out` for streaming and describe how
-    /// rows are pulled from it.
-    fn open_rows(&mut self, out: &str) -> Result<RowSource>;
-
-    /// Fetch rows `offset .. offset + limit` of an [`RowSource::InPlace`]
-    /// result.  Backends that always hand out [`RowSource::Owned`] never see
-    /// this call.
-    fn fetch_batch(&self, out: &str, offset: usize, limit: usize) -> Result<Vec<Tuple>> {
-        let _ = (out, offset, limit);
-        Ok(Vec::new())
-    }
+    /// The possible tuples of the materialized result `out`, in the
+    /// backend's canonical order, handed over as owned rows.  `out` stays
+    /// registered: the session drops it (or not) afterwards.
+    fn open_rows(&mut self, out: &str) -> Result<Vec<Tuple>>;
 
     /// The possible tuples of result `out` with their exact confidences.
     fn confidence_rows(&self, out: &str, pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>>;
 
     /// The possible tuples of result `out` with (ε, δ)-approximate
     /// confidences.  Backends without a Monte-Carlo evaluator (UWSDT, the
-    /// explicit world-set oracle, the single-world database) fall back to
-    /// the exact computation — the approximation guarantee then holds
-    /// trivially.
+    /// explicit world-set oracle, the single-world database) answer with
+    /// [`SessionBackend::confidence_rows`]: the approximation guarantee then
+    /// holds trivially.
     fn confidence_rows_approx(
         &self,
         out: &str,
         config: &ApproxConfig,
         pool: &WorkerPool,
-    ) -> Result<Vec<(Tuple, f64)>> {
-        let _ = config;
-        self.confidence_rows(out, pool)
-    }
-
-    /// The durability counters of a persistent backend; `None` for the
-    /// in-memory representations.  [`Session::stats`] folds these into
-    /// [`SessionStats`] so WAL and checkpoint activity shows up next to the
-    /// query counters.
-    fn durability(&self) -> Option<DurabilityStats> {
-        None
-    }
+    ) -> Result<Vec<(Tuple, f64)>>;
 
     /// Extract a [`LineageDb`] covering `relations` — a faithful mapping of
     /// this representation onto independent finite-domain variables, feeding
     /// the safe-plan and compiled-lineage confidence tiers.  `None` opts the
     /// backend out (the session then uses [`SessionBackend::confidence_rows`]
     /// directly), which is always safe; see [`crate::lineage`].
-    fn lineage(&self, relations: &BTreeSet<String>) -> Option<LineageDb> {
-        let _ = relations;
-        None
-    }
+    fn lineage(&self, relations: &BTreeSet<String>) -> Option<LineageDb>;
 }
 
 impl SessionBackend for Database {
@@ -152,22 +118,14 @@ impl SessionBackend for Database {
         true
     }
 
-    fn open_rows(&mut self, out: &str) -> Result<RowSource> {
+    fn open_rows(&mut self, out: &str) -> Result<Vec<Tuple>> {
         // The single world's answer uses set semantics, matching the
-        // possible-tuple extraction of the world-set backends.
-        let mut rel = self
-            .remove_relation(out)
-            .ok_or_else(|| Error::other(format!("result relation `{out}` vanished")))?;
+        // possible-tuple extraction of the world-set backends.  The result
+        // is deduplicated in place, so a later `confidence_rows` on it reads
+        // the same rows.
+        let rel = self.relation_mut(out).map_err(Error::from)?;
         rel.dedup();
-        let len = rel.len();
-        self.insert_relation(rel);
-        Ok(RowSource::InPlace { len })
-    }
-
-    fn fetch_batch(&self, out: &str, offset: usize, limit: usize) -> Result<Vec<Tuple>> {
-        let rows = self.relation(out).map_err(Error::from)?.rows();
-        let end = offset.saturating_add(limit).min(rows.len());
-        Ok(rows.get(offset..end).unwrap_or_default().to_vec())
+        Ok(rel.rows().to_vec())
     }
 
     fn confidence_rows(&self, out: &str, _pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>> {
@@ -175,6 +133,15 @@ impl SessionBackend for Database {
         let mut rel = self.relation(out).map_err(Error::from)?.clone();
         rel.dedup();
         Ok(rel.rows().iter().map(|t| (t.clone(), 1.0)).collect())
+    }
+
+    fn confidence_rows_approx(
+        &self,
+        out: &str,
+        _config: &ApproxConfig,
+        pool: &WorkerPool,
+    ) -> Result<Vec<(Tuple, f64)>> {
+        self.confidence_rows(out, pool)
     }
 
     fn lineage(&self, relations: &BTreeSet<String>) -> Option<LineageDb> {
@@ -191,9 +158,9 @@ impl SessionBackend for Wsd {
         false
     }
 
-    fn open_rows(&mut self, out: &str) -> Result<RowSource> {
+    fn open_rows(&mut self, out: &str) -> Result<Vec<Tuple>> {
         let possible = ws_core::confidence::possible(self, out)?;
-        Ok(RowSource::Owned(possible.rows().to_vec()))
+        Ok(possible.rows().to_vec())
     }
 
     fn confidence_rows(&self, out: &str, pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>> {
@@ -227,12 +194,21 @@ impl SessionBackend for Uwsdt {
         false
     }
 
-    fn open_rows(&mut self, out: &str) -> Result<RowSource> {
-        Ok(RowSource::Owned(ws_uwsdt::ops::possible_tuples(self, out)?))
+    fn open_rows(&mut self, out: &str) -> Result<Vec<Tuple>> {
+        Ok(ws_uwsdt::ops::possible_tuples(self, out)?)
     }
 
     fn confidence_rows(&self, out: &str, _pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>> {
         Ok(ws_uwsdt::confidence::possible_with_confidence(self, out)?)
+    }
+
+    fn confidence_rows_approx(
+        &self,
+        out: &str,
+        _config: &ApproxConfig,
+        pool: &WorkerPool,
+    ) -> Result<Vec<(Tuple, f64)>> {
+        self.confidence_rows(out, pool)
     }
 
     fn lineage(&self, relations: &BTreeSet<String>) -> Option<LineageDb> {
@@ -249,9 +225,9 @@ impl SessionBackend for UDatabase {
         true
     }
 
-    fn open_rows(&mut self, out: &str) -> Result<RowSource> {
+    fn open_rows(&mut self, out: &str) -> Result<Vec<Tuple>> {
         let possible = self.relation(out).map_err(Error::from)?.possible_tuples();
-        Ok(RowSource::Owned(possible.rows().to_vec()))
+        Ok(possible.rows().to_vec())
     }
 
     fn confidence_rows(&self, out: &str, pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>> {
@@ -285,8 +261,8 @@ impl SessionBackend for WorldSet {
         true
     }
 
-    fn open_rows(&mut self, out: &str) -> Result<RowSource> {
-        Ok(RowSource::Owned(ws_baselines::possible_tuples(self, out)?))
+    fn open_rows(&mut self, out: &str) -> Result<Vec<Tuple>> {
+        Ok(ws_baselines::possible_tuples(self, out)?)
     }
 
     fn confidence_rows(&self, out: &str, _pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>> {
@@ -298,6 +274,15 @@ impl SessionBackend for WorldSet {
                 Ok((t, c))
             })
             .collect()
+    }
+
+    fn confidence_rows_approx(
+        &self,
+        out: &str,
+        _config: &ApproxConfig,
+        pool: &WorkerPool,
+    ) -> Result<Vec<(Tuple, f64)>> {
+        self.confidence_rows(out, pool)
     }
 
     fn lineage(&self, relations: &BTreeSet<String>) -> Option<LineageDb> {
@@ -430,12 +415,8 @@ impl SessionBackend for AnyBackend {
         dispatch!(self, b => b.self_contained())
     }
 
-    fn open_rows(&mut self, out: &str) -> Result<RowSource> {
+    fn open_rows(&mut self, out: &str) -> Result<Vec<Tuple>> {
         dispatch!(self, b => b.open_rows(out))
-    }
-
-    fn fetch_batch(&self, out: &str, offset: usize, limit: usize) -> Result<Vec<Tuple>> {
-        dispatch!(self, b => b.fetch_batch(out, offset, limit))
     }
 
     fn confidence_rows(&self, out: &str, pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>> {
@@ -539,7 +520,12 @@ enum LineageTier {
     Compiled,
 }
 
-/// Counters of one session's lifetime, for benches and capacity planning.
+/// Counters of what one session did, for benches and capacity planning.
+///
+/// Only the session's own work is counted here.  The layers below keep
+/// their counters in one place each: WAL and checkpoint activity in
+/// [`crate::Durable::stats`], snapshot pins and commit batches in the
+/// concurrent store's stats, and wire bytes in the server's connection.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Optimizer runs — [`Session::prepare`] calls that missed the cache.
@@ -549,7 +535,7 @@ pub struct SessionStats {
     /// Plan executions ([`Session::execute`], [`Session::confidence`],
     /// [`Session::confidence_approx`]).
     pub executions: u64,
-    /// Rows pulled through [`Rows`] cursors and confidence calls.
+    /// Rows handed out by [`Session::execute`] and confidence calls.
     pub rows_streamed: u64,
     /// Updates applied through [`Session::apply`] / [`Session::apply_all`] /
     /// [`Session::condition`].
@@ -557,15 +543,6 @@ pub struct SessionStats {
     /// Prepared-plan cache entries evicted because an update touched one of
     /// their base relations.
     pub plans_invalidated: u64,
-    /// Write-ahead-log records appended since the last checkpoint (durable
-    /// sessions only; 0 on in-memory backends).
-    pub wal_records: u64,
-    /// Write-ahead-log bytes appended since the last checkpoint (durable
-    /// sessions only).
-    pub wal_bytes: u64,
-    /// Checkpoints taken through [`Session::checkpoint`] (durable sessions
-    /// only).
-    pub checkpoints: u64,
     /// [`Session::confidence`] calls answered by the safe-plan (extensional)
     /// tier.
     pub conf_safe: u64,
@@ -578,55 +555,6 @@ pub struct SessionStats {
     /// [`Session::confidence_approx`] calls (Monte-Carlo or the backend's
     /// exact fallback).
     pub conf_approx: u64,
-    /// Read snapshots pinned from a concurrent store (ws-server sessions
-    /// only; 0 on plain sessions).
-    pub snapshots_pinned: u64,
-    /// Group-commit batches the concurrent store's committer flushed.
-    pub commit_batches: u64,
-    /// Updates carried by those batches; `mean_batch()` is the ratio.
-    pub batched_updates: u64,
-    /// Bytes received over the wire protocol (ws-server only).
-    pub wire_bytes_in: u64,
-    /// Bytes sent over the wire protocol (ws-server only).
-    pub wire_bytes_out: u64,
-}
-
-impl SessionStats {
-    /// Fold another stats block into this one, field by field.  The server
-    /// carries a connection's counters across snapshot re-pins with this:
-    /// each re-pin rebuilds the session (zeroing its counters), so the old
-    /// session's stats are absorbed first and the remote `summary()` keeps
-    /// accumulating — matching what a local session would report.
-    pub fn absorb(&mut self, other: &SessionStats) {
-        self.plans_prepared += other.plans_prepared;
-        self.cache_hits += other.cache_hits;
-        self.executions += other.executions;
-        self.rows_streamed += other.rows_streamed;
-        self.updates_applied += other.updates_applied;
-        self.plans_invalidated += other.plans_invalidated;
-        self.wal_records += other.wal_records;
-        self.wal_bytes += other.wal_bytes;
-        self.checkpoints += other.checkpoints;
-        self.conf_safe += other.conf_safe;
-        self.conf_compiled += other.conf_compiled;
-        self.conf_exact += other.conf_exact;
-        self.conf_approx += other.conf_approx;
-        self.snapshots_pinned += other.snapshots_pinned;
-        self.commit_batches += other.commit_batches;
-        self.batched_updates += other.batched_updates;
-        self.wire_bytes_in += other.wire_bytes_in;
-        self.wire_bytes_out += other.wire_bytes_out;
-    }
-
-    /// Mean updates per group-commit batch (0.0 before the first batch) —
-    /// the amortization factor each batch fsync buys.
-    pub fn mean_batch(&self) -> f64 {
-        if self.commit_batches == 0 {
-            0.0
-        } else {
-            self.batched_updates as f64 / self.commit_batches as f64
-        }
-    }
 }
 
 impl fmt::Display for SessionStats {
@@ -634,33 +562,18 @@ impl fmt::Display for SessionStats {
         write!(
             f,
             "plans-prepared={} cache-hits={} executions={} rows-streamed={} \
-             updates-applied={} plans-invalidated={} wal-records={} wal-bytes={} \
-             checkpoints={} conf-safe={} conf-compiled={} conf-exact={} conf-approx={}",
+             updates-applied={} plans-invalidated={} conf-safe={} conf-compiled={} \
+             conf-exact={} conf-approx={}",
             self.plans_prepared,
             self.cache_hits,
             self.executions,
             self.rows_streamed,
             self.updates_applied,
             self.plans_invalidated,
-            self.wal_records,
-            self.wal_bytes,
-            self.checkpoints,
             self.conf_safe,
             self.conf_compiled,
             self.conf_exact,
             self.conf_approx,
-        )?;
-        // The service counters print unconditionally (0 on plain sessions),
-        // so a local and a remote `summary()` always show the same fields.
-        write!(
-            f,
-            " snapshots-pinned={} commit-batches={} mean-batch={:.1} \
-             wire-bytes-in={} wire-bytes-out={}",
-            self.snapshots_pinned,
-            self.commit_batches,
-            self.mean_batch(),
-            self.wire_bytes_in,
-            self.wire_bytes_out,
         )
     }
 }
@@ -713,11 +626,6 @@ struct CachedPlan {
 // The session.
 // ---------------------------------------------------------------------------
 
-/// Default number of rows a [`Rows`] cursor pulls per batch: the executor's
-/// native batch granularity ([`ws_relational::par::MORSEL_ROWS`], one
-/// columnar morsel), so a refill moves exactly one kernel-sized unit.
-pub const DEFAULT_BATCH_SIZE: usize = ws_relational::par::MORSEL_ROWS;
-
 /// A stateful connection to one possible-worlds backend: catalog, engine
 /// configuration, prepared-plan cache and usage stats in one place.
 #[derive(Debug)]
@@ -726,11 +634,10 @@ pub struct Session<B: SessionBackend> {
     config: EngineConfig,
     plans: HashMap<String, CachedPlan>,
     stats: SessionStats,
-    batch_size: usize,
     strategy: ConfidenceStrategy,
     scratch: usize,
     /// Scratch result relations still registered in the backend (results on
-    /// component-sharing backends outlive their cursor; see
+    /// component-sharing backends outlive their execution; see
     /// [`Session::apply`] for the staleness rule).
     live_results: Vec<String>,
     /// The observability domain queries report into, when one was attached
@@ -764,7 +671,6 @@ where
             config,
             plans: HashMap::new(),
             stats: SessionStats::default(),
-            batch_size: DEFAULT_BATCH_SIZE,
             strategy: ConfidenceStrategy::default(),
             scratch: 0,
             live_results: Vec::new(),
@@ -816,19 +722,20 @@ where
         self.backend
     }
 
+    /// Swap in another backend (e.g. a newer snapshot of the same store) and
+    /// hand the old one back.  Scratch results and cached plans belong to
+    /// the old backend and are forgotten; the configuration, observer,
+    /// session id, confidence strategy and counters carry over.
+    pub fn replace_backend(&mut self, backend: B) -> B {
+        self.live_results.clear();
+        self.plans.clear();
+        std::mem::replace(&mut self.backend, backend)
+    }
+
     /// Lifetime counters: plans prepared, cache hits, executions, rows
-    /// streamed — plus, on durable sessions, the WAL/checkpoint counters of
-    /// the persistence layer.
+    /// streamed, updates and confidence tiers.
     pub fn stats(&self) -> SessionStats {
-        let mut stats = self.stats;
-        if let Some(durability) = self.backend.durability() {
-            stats.wal_records = durability.wal_records;
-            stats.wal_bytes = durability.wal_bytes;
-            stats.checkpoints = durability.checkpoints;
-            stats.commit_batches = durability.commit_batches;
-            stats.batched_updates = durability.batched_updates;
-        }
-        stats
+        self.stats
     }
 
     /// A one-line description of the session for bench output: backend,
@@ -853,16 +760,6 @@ where
     /// the same exact numbers; this only selects which machinery does.
     pub fn set_confidence_strategy(&mut self, strategy: ConfidenceStrategy) {
         self.strategy = strategy;
-    }
-
-    /// Rows per [`Rows`] batch pull (default [`DEFAULT_BATCH_SIZE`]).
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
-    }
-
-    /// Change the cursor batch size (`0` is treated as 1).
-    pub fn set_batch_size(&mut self, batch_size: usize) {
-        self.batch_size = batch_size.max(1);
     }
 
     /// Number of distinct plans currently cached.
@@ -928,44 +825,26 @@ where
         }
     }
 
-    /// Replay a prepared plan and stream its possible answer tuples.
+    /// Replay a prepared plan and return its possible answer tuples.
     ///
     /// The result is materialized inside the backend under a fresh scratch
-    /// name and pulled out in batches of [`Session::batch_size`] rows; on
-    /// self-contained backends the scratch result is dropped when the cursor
-    /// is done with it.
-    pub fn execute(&mut self, prepared: &Prepared) -> Result<Rows<'_, B>> {
+    /// name and its possible tuples are handed over once as owned [`Rows`];
+    /// on self-contained backends the scratch result is dropped right away.
+    pub fn execute(&mut self, prepared: &Prepared) -> Result<Rows> {
         let out = self.run(prepared)?;
-        let source = self
+        let rows = self
             .backend
             .open_rows(&out)
-            .map_err(|e| e.with_plan(&prepared.display))?;
-        let (inner, cleanup) = match source {
-            RowSource::InPlace { len } => (RowsInner::InPlace { len, offset: 0 }, true),
-            RowSource::Owned(rows) => {
-                // The extraction already detached the answer from the store.
-                if self.backend.self_contained() {
-                    self.backend.drop_scratch(&out);
-                    self.live_results.retain(|r| r != &out);
-                }
-                (RowsInner::Owned(rows.into_iter()), false)
-            }
-        };
-        Ok(Rows {
-            backend: &mut self.backend,
-            stats: &mut self.stats,
-            live_results: &mut self.live_results,
-            out,
-            batch: self.batch_size,
-            inner,
-            buf: Vec::new().into_iter(),
-            cleanup,
-        })
+            .map_err(|e| e.with_plan(&prepared.display));
+        self.finish_result(&out);
+        let rows = rows?;
+        self.stats.rows_streamed += rows.len() as u64;
+        Ok(rows.into_iter())
     }
 
     /// Prepare and execute in one step (still cached: repeated one-shot
     /// queries hit the plan cache).
-    pub fn query(&mut self, query: impl IntoQuery) -> Result<Rows<'_, B>> {
+    pub fn query(&mut self, query: impl IntoQuery) -> Result<Rows> {
         let prepared = self.prepare(query)?;
         self.execute(&prepared)
     }
@@ -1099,10 +978,7 @@ where
         out: &str,
         probs: &BTreeMap<Tuple, f64>,
     ) -> Result<Option<Vec<(Tuple, f64)>>> {
-        let tuples = match self.backend.open_rows(out)? {
-            RowSource::Owned(rows) => rows,
-            RowSource::InPlace { len } => self.backend.fetch_batch(out, 0, len)?,
-        };
+        let tuples = self.backend.open_rows(out)?;
         let mut rows = Vec::with_capacity(tuples.len());
         let mut seen: BTreeSet<Tuple> = BTreeSet::new();
         for tuple in tuples {
@@ -1163,7 +1039,7 @@ where
         };
         // First pass: stream the answer under a profile collector.
         ws_obs::profile::begin();
-        let counted = self.execute(prepared).map(|rows| rows.count() as u64);
+        let counted = self.execute(prepared).map(|rows| rows.len() as u64);
         let children = ws_obs::profile::take();
         let rows = counted?;
         // Second pass: the confidence tiers (no collector — the tree above
@@ -1290,12 +1166,12 @@ where
     ///   [`Session::prepare`] of such a plan re-optimizes (a cache miss in
     ///   [`SessionStats`]);
     /// * scratch results still registered in the backend — results of
-    ///   [`Session::materialize`], and streamed results on component-sharing
-    ///   backends (WSD, UWSDT), which outlive their [`Rows`] cursor — are
-    ///   dropped before the update runs.  Names returned by `materialize`
-    ///   must therefore not be read after an `apply`; re-execute the plan
-    ///   instead.  (A live [`Rows`] cursor borrows the session mutably, so
-    ///   no cursor can ever observe a mid-stream update.)
+    ///   [`Session::materialize`], and executed results on component-sharing
+    ///   backends (WSD, UWSDT), which stay registered after
+    ///   [`Session::execute`] — are dropped before the update runs.  Names
+    ///   returned by `materialize` must therefore not be read after an
+    ///   `apply`; re-execute the plan instead.  [`Rows`] already handed out
+    ///   are owned copies and keep the pre-update answer.
     pub fn apply(&mut self, update: &UpdateExpr) -> Result<f64> {
         let _span = self.observer.as_ref().map(|observer| {
             observer
@@ -1367,115 +1243,10 @@ where
     }
 }
 
-// ---------------------------------------------------------------------------
-// The streaming cursor.
-// ---------------------------------------------------------------------------
-
-enum RowsInner {
-    InPlace { len: usize, offset: usize },
-    Owned(std::vec::IntoIter<Tuple>),
-}
-
-/// A streaming cursor over one execution's possible answer tuples.
-///
-/// Pulls batches of [`Session::batch_size`] rows from the backend-resident
-/// result instead of copying the whole answer out at once; consume it with
-/// the [`Iterator`] combinators (`collect()`, `count()`, `take(n)`, …).
-/// Dropping the cursor — fully consumed or not — releases the scratch result
-/// on self-contained backends.
-pub struct Rows<'s, B: SessionBackend> {
-    backend: &'s mut B,
-    stats: &'s mut SessionStats,
-    live_results: &'s mut Vec<String>,
-    out: String,
-    batch: usize,
-    inner: RowsInner,
-    buf: std::vec::IntoIter<Tuple>,
-    cleanup: bool,
-}
-
-impl<B: SessionBackend> fmt::Debug for Rows<'_, B> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Rows")
-            .field("result", &self.out)
-            .field("batch", &self.batch)
-            .field("remaining", &self.len_hint())
-            .finish()
-    }
-}
-
-impl<B: SessionBackend> Rows<'_, B> {
-    /// Total number of answer rows this cursor will stream.
-    pub fn len_hint(&self) -> usize {
-        match &self.inner {
-            RowsInner::InPlace { len, offset } => len - offset + self.buf.len(),
-            RowsInner::Owned(rows) => rows.len(),
-        }
-    }
-
-    /// The scratch relation the result was materialized under (still
-    /// registered on non-self-contained backends after the cursor is gone).
-    pub fn result_name(&self) -> &str {
-        &self.out
-    }
-
-    fn refill(&mut self) {
-        let RowsInner::InPlace { len, offset } = &mut self.inner else {
-            return;
-        };
-        if offset < len {
-            let limit = self.batch.min(*len - *offset);
-            let batch = self
-                .backend
-                .fetch_batch(&self.out, *offset, limit)
-                .unwrap_or_default();
-            *offset += batch.len();
-            if batch.is_empty() {
-                // Defensive: a vanished result ends the stream.
-                *offset = *len;
-            }
-            // One copy total: `fetch_batch` clones the batch out of the
-            // backend, and the cursor hands that same allocation out row by
-            // row — no per-row requeue into a second buffer.
-            self.buf = batch.into_iter();
-        }
-    }
-}
-
-impl<B: SessionBackend> Iterator for Rows<'_, B> {
-    type Item = Tuple;
-
-    fn next(&mut self) -> Option<Tuple> {
-        let row = match &mut self.inner {
-            // Extracted results are already owned; stream them directly.
-            RowsInner::Owned(rows) => rows.next(),
-            RowsInner::InPlace { .. } => {
-                if self.buf.as_slice().is_empty() {
-                    self.refill();
-                }
-                self.buf.next()
-            }
-        };
-        if row.is_some() {
-            self.stats.rows_streamed += 1;
-        }
-        row
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.len_hint();
-        (n, Some(n))
-    }
-}
-
-impl<B: SessionBackend> Drop for Rows<'_, B> {
-    fn drop(&mut self) {
-        if self.cleanup {
-            self.backend.drop_scratch(&self.out);
-            self.live_results.retain(|r| r != &self.out);
-        }
-    }
-}
+/// One execution's possible answer tuples, handed over once and owned by the
+/// caller: the iterator does not borrow the session, and
+/// [`ExactSizeIterator::len`] says how many rows remain.
+pub type Rows = std::vec::IntoIter<Tuple>;
 
 #[cfg(test)]
 mod tests {
@@ -1496,7 +1267,6 @@ mod tests {
     #[test]
     fn prepare_execute_streams_deduplicated_rows_and_cleans_up() {
         let mut session = Session::new(db());
-        session.set_batch_size(2);
         let plan = session
             .prepare(q("R").select(Predicate::cmp_const("A", CmpOp::Ge, 2i64)))
             .unwrap();

@@ -1,12 +1,13 @@
 //! The TCP server: one [`ConcurrentStore`] served to many connections.
 //!
-//! Each connection runs on its own thread and owns a private
-//! [`Session<AnyBackend>`] built from a pinned store snapshot.  Queries
+//! Each connection runs on its own thread and owns one private
+//! [`Session<AnyBackend>`] over a pinned store snapshot.  Queries
 //! (`Prepare`/`Execute`/`Confidence`) run against that pinned image without
 //! taking any store lock; before each query the connection compares its
 //! pinned sequence number with the store's and, if writers have committed in
-//! the meantime, re-pins the newest snapshot and transparently re-prepares
-//! its registered plans through the session plan cache.  Writes
+//! the meantime, swaps the newest snapshot into the same session
+//! ([`Session::replace_backend`], so its counters keep accumulating) and
+//! transparently re-prepares its registered plans.  Writes
 //! (`Apply`/`Condition`/`Checkpoint`) go straight to the store's
 //! group-commit committer, so concurrent connections' updates coalesce into
 //! shared WAL batches.
@@ -18,7 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use maybms::{AnyBackend, Prepared, Session, SessionBackend, SessionStats, UpdateExpr};
+use maybms::{AnyBackend, Prepared, Session, SessionBackend, UpdateExpr};
 use ws_relational::RaExpr;
 
 use crate::store::ConcurrentStore;
@@ -139,50 +140,52 @@ impl Drop for ServerHandle {
 /// Per-connection state: the pinned read session and the registered plans.
 struct Conn {
     store: ConcurrentStore<AnyBackend>,
-    /// The session over the pinned snapshot, tagged with the sequence number
-    /// it was pinned at.  Rebuilt lazily when the store moves on.
-    session: Option<(u64, Session<AnyBackend>)>,
+    /// The one session of this connection, opened at the first query.
+    session: Option<Session<AnyBackend>>,
+    /// The store sequence number the session's snapshot was pinned at.
+    pinned: u64,
     /// Plan handle → the lowered plan, the durable registration.
     plans: HashMap<u64, RaExpr>,
-    /// Plan handle → the prepared form against the *current* session.
+    /// Plan handle → the prepared form against the *current* snapshot.
     prepared: HashMap<u64, Prepared>,
     next_plan: u64,
-    /// Counters accumulated by sessions this connection already retired
-    /// (each snapshot re-pin rebuilds the session, zeroing its counters).
-    carried: SessionStats,
 }
 
 impl Conn {
     /// Pin the newest snapshot if the committed sequence moved, re-preparing
-    /// every registered plan against the fresh session.
+    /// every registered plan against it.
     fn refresh(&mut self) -> Result<(), maybms::Error> {
         let tip = self.store.seq();
-        let stale = match &self.session {
-            Some((seq, _)) => *seq != tip,
-            None => true,
-        };
-        if stale {
-            if let Some((_, old)) = &self.session {
-                self.carried.absorb(&old.stats());
-            }
-            let snapshot = self.store.snapshot();
-            let mut session = Session::new(snapshot.backend.clone());
-            if let Some(observer) = self.store.observer() {
-                session.set_observer(Arc::clone(observer));
-            }
-            self.prepared.clear();
-            for (&id, plan) in &self.plans {
-                let p = session.prepare(plan.clone())?;
-                self.prepared.insert(id, p);
-            }
-            self.session = Some((snapshot.seq, session));
+        if self.session.is_some() && self.pinned == tip {
+            return Ok(());
         }
+        let snapshot = self.store.snapshot();
+        let backend = snapshot.backend.clone();
+        let session = match &mut self.session {
+            Some(session) => {
+                session.replace_backend(backend);
+                session
+            }
+            None => {
+                let mut session = Session::new(backend);
+                if let Some(observer) = self.store.observer() {
+                    session.set_observer(Arc::clone(observer));
+                }
+                self.session.insert(session)
+            }
+        };
+        self.prepared.clear();
+        for (&id, plan) in &self.plans {
+            self.prepared.insert(id, session.prepare(plan.clone())?);
+        }
+        // Only a fully re-prepared pin counts: a failure retries next time.
+        self.pinned = snapshot.seq;
         Ok(())
     }
 
     /// The pinned session ([`Conn::refresh`] must have succeeded first).
     fn session(&mut self) -> &mut Session<AnyBackend> {
-        &mut self.session.as_mut().expect("session pinned by refresh").1
+        self.session.as_mut().expect("session pinned by refresh")
     }
 }
 
@@ -212,10 +215,10 @@ fn handle_connection(
     let mut conn = Conn {
         store,
         session: None,
+        pinned: 0,
         plans: HashMap::new(),
         prepared: HashMap::new(),
         next_plan: 1,
-        carried: SessionStats::default(),
     };
     loop {
         // The trace id from the frame header is echoed on every response
@@ -278,10 +281,7 @@ fn handle_connection(
             Request::Execute { plan } => {
                 let rows = match conn.refresh() {
                     Ok(()) => match conn.prepared.get(&plan).cloned() {
-                        Some(p) => match conn.session().execute(&p) {
-                            Ok(cursor) => Ok(cursor.collect::<Vec<_>>()),
-                            Err(e) => Err(error_response(&e)),
-                        },
+                        Some(p) => conn.session().execute(&p).map_err(|e| error_response(&e)),
                         None => Err(Response::Error {
                             inconsistent: false,
                             message: format!("unknown plan handle {plan}"),
@@ -290,23 +290,17 @@ fn handle_connection(
                     Err(e) => Err(error_response(&e)),
                 };
                 match rows {
-                    Ok(rows) => {
-                        let mut chunks = rows.chunks(ROW_BATCH).peekable();
-                        if chunks.peek().is_none() {
-                            let resp = Response::RowBatch {
-                                rows: Vec::new(),
-                                done: true,
-                            };
-                            write_frame(&mut stream, trace, &resp.encode())?;
+                    // The owned rows move into frames of `ROW_BATCH`; an
+                    // empty result is one `done` frame.
+                    Ok(mut rows) => loop {
+                        let batch = rows.by_ref().take(ROW_BATCH).collect();
+                        let done = rows.len() == 0;
+                        let resp = Response::RowBatch { rows: batch, done };
+                        write_frame(&mut stream, trace, &resp.encode())?;
+                        if done {
+                            break;
                         }
-                        while let Some(chunk) = chunks.next() {
-                            let resp = Response::RowBatch {
-                                rows: chunk.to_vec(),
-                                done: chunks.peek().is_none(),
-                            };
-                            write_frame(&mut stream, trace, &resp.encode())?;
-                        }
-                    }
+                    },
                     Err(resp) => write_frame(&mut stream, trace, &resp.encode())?,
                 }
             }
@@ -344,16 +338,18 @@ fn handle_connection(
             Request::Stats => {
                 let resp = match conn.refresh() {
                     Ok(()) => {
-                        let mut stats = conn.carried;
-                        stats.absorb(&conn.session().stats());
-                        let store_stats = conn.store.stats();
-                        stats.snapshots_pinned = store_stats.snapshots_pinned;
-                        stats.commit_batches = store_stats.commit_batches;
-                        stats.batched_updates = store_stats.batched_updates;
-                        stats.wire_bytes_in = stream.bytes_in();
-                        stats.wire_bytes_out = stream.bytes_out();
+                        let store = conn.store.stats();
                         Response::Stats {
-                            summary: stats.to_string(),
+                            summary: format!(
+                                "{} snapshots-pinned={} commit-batches={} mean-batch={:.1} \
+                                 wire-bytes-in={} wire-bytes-out={}",
+                                conn.session().stats(),
+                                store.snapshots_pinned,
+                                store.commit_batches,
+                                store.mean_batch(),
+                                stream.bytes_in(),
+                                stream.bytes_out(),
+                            ),
                         }
                     }
                     Err(e) => error_response(&e),

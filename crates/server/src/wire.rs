@@ -497,8 +497,9 @@ pub fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<(u64, Vec<u8
 // Byte accounting.
 // ---------------------------------------------------------------------------
 
-/// A byte stream that counts what passes through it, feeding the
-/// `wire_bytes_in`/`wire_bytes_out` session counters on both ends.
+/// A byte stream that counts what passes through it: the one home of the
+/// wire byte counters on both ends (the server's `Stats` verb reports them
+/// as `wire-bytes-in`/`wire-bytes-out`).
 #[derive(Debug)]
 pub struct CountingStream<S> {
     inner: S,

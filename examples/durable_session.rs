@@ -43,6 +43,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {tuple}  conf = {conf:.6}");
     }
     println!("session stats: {}", session.stats());
+    let wal = session.backend().stats();
+    println!(
+        "write-ahead log: {} record(s), {} byte(s) since the last checkpoint",
+        wal.wal_records, wal.wal_bytes
+    );
 
     // --------------------------------------------------------------
     // 2. Crash: drop the session without closing, then tear the WAL
@@ -59,10 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Recover: newest snapshot + WAL replay, torn tail truncated.
     // --------------------------------------------------------------
     let mut session = Session::open_durable(&dir)?;
-    let durability = session
-        .backend()
-        .durability()
-        .expect("durable sessions report durability stats");
+    let durability = session.backend().stats();
     println!(
         "recovered: replayed {} WAL record(s), truncated {} torn byte(s)",
         durability.recovered_records, durability.torn_bytes_truncated

@@ -175,11 +175,8 @@ fn difference_plans_fall_back_to_the_native_exact_path() {
     }
 }
 
-/// A hierarchical (safe) plan on a tuple-independent U-relation: the safe
-/// tier must fire and agree bit-for-bit with the d-tree compiler and the
-/// native enumeration.
-#[test]
-fn safe_tier_fires_on_hierarchical_plans() {
+/// A tuple-independent U-relation `T[A, B]` and a hierarchical plan over it.
+fn tuple_independent_urel() -> (AnyBackend, RaExpr) {
     let mut udb = UDatabase::new();
     let mut rel = URelation::new(Schema::new("T", &["A", "B"]).unwrap());
     for i in 0..12i64 {
@@ -194,7 +191,15 @@ fn safe_tier_fires_on_hierarchical_plans() {
     let query = RaExpr::rel("T")
         .select(Predicate::cmp_const("A", CmpOp::Lt, 9i64))
         .project(vec!["B"]);
-    let backend = AnyBackend::from(udb);
+    (AnyBackend::from(udb), query)
+}
+
+/// A hierarchical (safe) plan on a tuple-independent U-relation: the safe
+/// tier must fire and agree bit-for-bit with the d-tree compiler and the
+/// native enumeration.
+#[test]
+fn safe_tier_fires_on_hierarchical_plans() {
+    let (backend, query) = tuple_independent_urel();
     let (exact, _) = conf_rows(
         backend.clone(),
         &query,
@@ -211,6 +216,36 @@ fn safe_tier_fires_on_hierarchical_plans() {
     let (compiled, stats) = conf_rows(backend, &query, ConfidenceStrategy::CompiledOnly, 1, true);
     assert_eq!(stats.conf_compiled, 1);
     assert_bit_identical(&exact, &compiled, &"compiled tier");
+}
+
+/// A durable session forwards every backend hook, the lineage extraction
+/// included: on every backend it must answer `confidence` from the same
+/// tier as an in-memory session, with bit-identical rows.
+#[test]
+fn durable_sessions_take_the_same_tier_as_in_memory_sessions() {
+    let mut rng = StdRng::seed_from_u64(0xD0AB_1E00);
+    let wsd = dyadic_wsd(&mut rng);
+    let mut cases: Vec<(&str, AnyBackend, RaExpr)> = all_backends(&wsd)
+        .into_iter()
+        .map(|(name, backend)| (name, backend, RaExpr::rel("R").project(vec!["B"])))
+        .collect();
+    let (urel, hierarchical) = tuple_independent_urel();
+    cases.push(("tuple-independent urel", urel, hierarchical));
+    let tiers = |s: SessionStats| (s.conf_safe, s.conf_compiled, s.conf_exact);
+    for (name, backend, query) in cases {
+        let mut memory = Session::over(backend.clone());
+        let prepared = memory.prepare(query.clone()).unwrap();
+        let expected = memory.confidence(&prepared).unwrap();
+        let mut durable = Session::create_durable_on(Box::new(MemVfs::new()), backend).unwrap();
+        let prepared = durable.prepare(query).unwrap();
+        let got = durable.confidence(&prepared).unwrap();
+        assert_bit_identical(&expected, &got, &format!("durable {name}"));
+        assert_eq!(
+            tiers(durable.stats()),
+            tiers(memory.stats()),
+            "[{name}] (safe, compiled, exact) tiers: durable vs in-memory"
+        );
+    }
 }
 
 /// A self-join is not hierarchical: the tiered strategy must skip the safe

@@ -114,7 +114,7 @@ fn run_side_by_side(label: &str, backend: &AnyBackend, updates: &[UpdateExpr]) -
             ),
         }
     }
-    assert_eq!(durable.stats().wal_records, updates.len() as u64);
+    assert_eq!(durable.backend().stats().wal_records, updates.len() as u64);
     durable.close().unwrap();
     vfs
 }
@@ -265,7 +265,7 @@ fn checkpoints_move_the_recovery_base_without_changing_answers() {
             let _ = durable.materialize(&p).unwrap();
             let generation = durable.checkpoint().unwrap();
             assert_eq!(generation, 1, "[{name}] first checkpoint");
-            assert_eq!(durable.stats().wal_records, 0);
+            assert_eq!(durable.backend().stats().wal_records, 0);
             for u in &after {
                 durable.apply(u).unwrap();
             }

@@ -19,8 +19,10 @@
 //!
 //! The wire protocol gets the same treatment end to end: a TCP server and
 //! concurrent clients must agree with a local session replaying the same
-//! updates.
+//! updates, row frames included, and a connection's session counters must
+//! survive snapshot re-pins.
 
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -28,7 +30,8 @@ use maybms::prelude::*;
 use maybms::{AnyBackend, Session, UpdateExpr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ws_server::{Client, ConcurrentStore};
+use ws_server::wire::{read_frame, write_frame};
+use ws_server::{Client, ConcurrentStore, Request, Response, WIRE_VERSION};
 use ws_storage::wal::{self, WAL_FILE};
 use ws_storage::SyncPolicy;
 
@@ -353,5 +356,109 @@ fn the_wire_protocol_round_trips_the_session_verbs_concurrently() {
     assert!(generation >= 1);
     client.shutdown_server().unwrap();
     handle.shutdown().unwrap();
+    store.close().unwrap();
+}
+
+/// Rows per served `RowBatch` frame.
+const ROW_BATCH: usize = 256;
+
+/// A one-world store over `R[A]` holding `A = 0 .. n`.
+fn counting_store(n: i64) -> ConcurrentStore<AnyBackend> {
+    let mut r = Relation::new(Schema::new("R", &["A"]).unwrap());
+    for a in 0..n {
+        r.push_values([a]).unwrap();
+    }
+    let mut db = Database::new();
+    db.insert_relation(r);
+    ConcurrentStore::create(
+        Box::new(MemVfs::new()),
+        AnyBackend::Db(db),
+        SyncPolicy::EveryRecord,
+    )
+    .unwrap()
+}
+
+/// Send one request over a raw connection and return every response frame
+/// up to the last one (`done` for row batches).
+fn raw_call(stream: &mut TcpStream, trace: u64, request: &Request) -> Vec<Response> {
+    write_frame(stream, trace, &request.encode()).unwrap();
+    let mut frames = Vec::new();
+    loop {
+        let (echoed, payload) = read_frame(stream).unwrap().unwrap();
+        assert_eq!(echoed, trace, "response frame echoes another request");
+        let response = Response::decode(&payload).unwrap();
+        let last = !matches!(response, Response::RowBatch { done: false, .. });
+        frames.push(response);
+        if last {
+            return frames;
+        }
+    }
+}
+
+/// Served `Execute` moves the result rows into frames of `ROW_BATCH`: an
+/// empty result is one `done` frame, and a result one row past the frame
+/// size is two frames.  The rows match a local session's, in order.
+#[test]
+fn served_rows_match_local_rows_at_the_frame_boundaries() {
+    let store = counting_store(300);
+    let server = ws_server::spawn("127.0.0.1:0", store.clone()).unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let hello = Request::Hello {
+        version: WIRE_VERSION,
+    };
+    assert!(matches!(
+        raw_call(&mut stream, 1, &hello)[..],
+        [Response::HelloOk { .. }]
+    ));
+    let mut local = Session::over(store.snapshot().backend.clone());
+    for (trace, (n, frames)) in (2..).step_by(2).zip([(0, 1), (256, 1), (257, 2)]) {
+        let plan = RaExpr::rel("R").select(Predicate::cmp_const("A", CmpOp::Lt, n));
+        let prepare = Request::Prepare { plan: plan.clone() };
+        let handle = match &raw_call(&mut stream, trace, &prepare)[..] {
+            [Response::Prepared { plan, .. }] => *plan,
+            other => panic!("expected a prepared plan, got {other:?}"),
+        };
+        let mut served: Vec<Tuple> = Vec::new();
+        let mut sizes = Vec::new();
+        for frame in raw_call(&mut stream, trace + 1, &Request::Execute { plan: handle }) {
+            let Response::RowBatch { rows, .. } = frame else {
+                panic!("expected a row batch, got {frame:?}");
+            };
+            sizes.push(rows.len());
+            served.extend(rows);
+        }
+        let prepared = local.prepare(plan).unwrap();
+        let rows: Vec<Tuple> = local.execute(&prepared).unwrap().collect();
+        assert_eq!(served, rows, "{n} rows: served and local rows differ");
+        assert_eq!(sizes.len(), frames, "{n} rows: frame sizes {sizes:?}");
+        assert!(sizes.iter().all(|&s| s <= ROW_BATCH), "{sizes:?}");
+    }
+    drop(stream);
+    server.shutdown().unwrap();
+    store.close().unwrap();
+}
+
+/// A connection keeps its session counters when another client's update
+/// forces a snapshot re-pin.
+#[test]
+fn session_stats_carry_across_snapshot_repins() {
+    let store = counting_store(10);
+    let server = ws_server::spawn("127.0.0.1:0", store.clone()).unwrap();
+    let mut reader = Client::connect(server.addr()).unwrap();
+    let mut writer = Client::connect(server.addr()).unwrap();
+    let plan = reader.prepare(maybms::q("R")).unwrap();
+    assert_eq!(reader.execute(&plan).unwrap().len(), 10);
+    writer
+        .apply(&UpdateExpr::insert("R", Tuple::from_iter([10i64])))
+        .unwrap();
+    // The update moved the store on: this execute re-pins.
+    assert_eq!(reader.execute(&plan).unwrap().len(), 11);
+    let summary = reader.stats().unwrap();
+    assert!(
+        summary.contains("executions=2 ") && summary.contains("plans-prepared=2 "),
+        "counters lost across the re-pin: {summary}"
+    );
+    drop((reader, writer));
+    server.shutdown().unwrap();
     store.close().unwrap();
 }
